@@ -1,10 +1,11 @@
 //! Execution-tier benchmark (`cargo bench --bench blocks`).
 //!
-//! Compares all four execution tiers — `Machine::run` (per-instruction
-//! dispatch), `Machine::run_blocks` (fused basic blocks),
-//! `Machine::run_superblocks` (profile-directed block chains), and the
-//! SoA `LaneMachine` (same-program lane groups) — on the tight ALU loop
-//! and the Sobel kernel, and cross-checks that every tier retires the
+//! Compares the execution tiers — `Machine::run` (per-instruction
+//! dispatch), `Machine::run_blocks` (fused basic blocks), and the SoA
+//! `LaneMachine` (same-program lane groups) — on the tight ALU loop and
+//! the Sobel kernel, plus the production shape of the block tier:
+//! Sobel through `Machine::run_bounded` under 100-cycle caps, one call
+//! per 100 µs tick at 1 MHz. Cross-checks that every tier retires the
 //! same instruction count, identical architectural state, and
 //! bit-identical energy while timing.
 //!
@@ -17,11 +18,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nvp_isa::asm::assemble;
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CostBudget, CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
 
 /// Lane width used for the lane-tier throughput measurement.
 const LANE_WIDTH: usize = 64;
+
+/// Cycles in one 100 µs trace tick at the default 1 MHz clock: the cap
+/// a powered tick hands the block engine in production.
+const TICK_CYCLES: u64 = 100;
 
 fn smoke() -> bool {
     std::env::var_os("NVP_BENCH_SMOKE").is_some()
@@ -52,6 +57,19 @@ fn rate(
     best
 }
 
+/// One production-shaped tick of at most `n` instructions: the block
+/// engine under a [`TICK_CYCLES`] cap, then the one instruction that
+/// straddles the cap by single step. Returns the instructions retired.
+fn tick(m: &mut Machine, n: u64) -> u64 {
+    let budget = CostBudget { insts: n, cycles: TICK_CYCLES, energy_j: f64::INFINITY };
+    let stats = m.run_bounded(budget).expect("program runs");
+    if stats.executed < n && !stats.halted && !stats.checkpoint {
+        m.step().expect("program runs");
+        return stats.executed + 1;
+    }
+    stats.executed
+}
+
 /// Best-of-`reps` *effective* throughput of a lane group running the
 /// image to completion: total instructions retired across every lane,
 /// divided by wall time.
@@ -79,22 +97,19 @@ fn crosscheck(program: &nvp_isa::Program, budget: u64) {
     );
     let mut by_step = Machine::from_image(&image);
     let mut by_block = Machine::from_image(&image);
-    let mut by_super = Machine::from_image(&image);
+    let mut by_tick = Machine::from_image(&image);
     let mut by_lanes = LaneMachine::new(&image, 4);
     by_step.run(budget).expect("step run");
     by_block.run_blocks(budget).expect("block run");
-    while by_super.counters().instructions < budget && !by_super.halted() {
-        let remaining = budget - by_super.counters().instructions;
-        let stats = by_super.run_superblocks(remaining).expect("superblock run");
-        if stats.executed == 0 && !stats.checkpoint {
-            break;
-        }
+    while by_tick.counters().instructions < budget && !by_tick.halted() {
+        let remaining = budget - by_tick.counters().instructions;
+        tick(&mut by_tick, remaining);
     }
     while by_lanes.lane_counters(0).instructions < budget && !by_lanes.all_done() {
         by_lanes.run(budget - by_lanes.lane_counters(0).instructions);
     }
     for (name, other) in
-        [("block", &by_block), ("superblock", &by_super), ("lane", &by_lanes.extract(0))]
+        [("block", &by_block), ("tick-capped block", &by_tick), ("lane", &by_lanes.extract(0))]
     {
         assert_eq!(by_step.snapshot(), other.snapshot(), "{name}: architectural state diverged");
         assert_eq!(
@@ -124,7 +139,6 @@ fn main() {
 
     let step_run = |m: &mut Machine, n: u64| m.run(n).expect("program runs");
     let block_run = |m: &mut Machine, n: u64| m.run_blocks(n).expect("program runs").executed;
-    let super_run = |m: &mut Machine, n: u64| m.run_superblocks(n).expect("program runs").executed;
 
     let tight_image = Arc::new(
         MachineImage::build(&tight, 64, CycleModel::default(), EnergyModel::default())
@@ -142,21 +156,21 @@ fn main() {
 
     let tight_step = rate(|| Machine::from_image(&tight_image), step_run, insts, reps);
     let tight_block = rate(|| Machine::from_image(&tight_image), block_run, insts, reps);
-    let tight_super = rate(|| Machine::from_image(&tight_image), super_run, insts, reps);
     let tight_lanes = lane_rate(&tight_image, LANE_WIDTH, reps);
     let sobel_step = rate(|| Machine::from_image(&sobel_image), step_run, insts, reps);
     let sobel_block = rate(|| Machine::from_image(&sobel_image), block_run, insts, reps);
-    let sobel_super = rate(|| Machine::from_image(&sobel_image), super_run, insts, reps);
+    let sobel_tick = rate(|| Machine::from_image(&sobel_image), tick, insts, reps);
 
     println!("bench blocks/tight_loop_step_per_sec   {tight_step:>14.0}");
     println!("bench blocks/tight_loop_block_per_sec  {tight_block:>14.0}");
-    println!("bench blocks/tight_loop_super_per_sec  {tight_super:>14.0}");
     println!("bench blocks/tight_loop_lane_per_sec   {tight_lanes:>14.0} ({LANE_WIDTH} lanes)");
     println!("bench blocks/tight_loop_speedup        {:>14.2} x", tight_block / tight_step);
     println!("bench blocks/tight_loop_lane_speedup   {:>14.2} x", tight_lanes / tight_block);
     println!("bench blocks/sobel_step_per_sec        {sobel_step:>14.0}");
     println!("bench blocks/sobel_block_per_sec       {sobel_block:>14.0}");
-    println!("bench blocks/sobel_super_per_sec       {sobel_super:>14.0}");
+    println!(
+        "bench blocks/sobel_tick_cap_per_sec    {sobel_tick:>14.0} ({TICK_CYCLES}-cycle caps)"
+    );
     println!("bench blocks/sobel_speedup             {:>14.2} x", sobel_block / sobel_step);
     if smoke() {
         println!("bench blocks: smoke mode (bounded iterations, cross-tier digests asserted)");

@@ -6,7 +6,7 @@
 //! (override the location with `NVP_BENCH_RUNNER_JSON`). The checked-in
 //! copy is the baseline; rerun after perf-sensitive changes and compare.
 //!
-//! Measured quantities (schema `nvp-bench-runner/4`):
+//! Measured quantities (schema `nvp-bench-runner/5`):
 //!
 //! * `run_all_quick.parallel_s` / `sequential_s` — best-of-3 wall time
 //!   of `run_all(ExpConfig::quick())` on the work-stealing scheduler
@@ -29,9 +29,11 @@
 //!   the workload the lane-group dispatch and shared program image
 //!   target, with the lane-group counters from one run.
 //! * `simulator.*_steps_per_sec` — `Machine::step` / `run_blocks` /
-//!   `run_superblocks` / `LaneMachine` throughput on a branchy ALU
-//!   loop and the Sobel kernel (lane throughput is effective: total
-//!   instructions across all lanes per second).
+//!   `LaneMachine` throughput on a branchy ALU loop and the Sobel kernel
+//!   (lane throughput is effective: total instructions across all lanes
+//!   per second), plus `sobel_tick_cap_steps_per_sec`: Sobel through
+//!   `run_bounded` under 100-cycle caps with the straddling instruction
+//!   stepped, the shape of one powered 100 µs tick at 1 MHz.
 //!
 //! A warm-up run first fills the process-wide frame/kernel/trace memo
 //! caches, and the simulation cache is reset before every timed
@@ -49,13 +51,29 @@ use nvp_experiments::{
     set_thread_override, thread_count, ExpConfig,
 };
 use nvp_isa::asm::assemble;
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CostBudget, CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
 
 const REPS: usize = 3;
 
 /// Lane width for the lane-tier throughput measurement.
 const LANE_WIDTH: usize = 64;
+
+/// Cycles in one 100 µs trace tick at the default 1 MHz clock.
+const TICK_CYCLES: u64 = 100;
+
+/// One production-shaped tick of at most `n` instructions: the block
+/// engine under a [`TICK_CYCLES`] cap, then the one instruction that
+/// straddles the cap by single step. Returns the instructions retired.
+fn tick(m: &mut Machine, n: u64) -> u64 {
+    let budget = CostBudget { insts: n, cycles: TICK_CYCLES, energy_j: f64::INFINITY };
+    let stats = m.run_bounded(budget).expect("program runs");
+    if stats.executed < n && !stats.halted && !stats.checkpoint {
+        m.step().expect("program runs");
+        return stats.executed + 1;
+    }
+    stats.executed
+}
 
 fn unique_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,14 +227,12 @@ fn main() {
         .expect("tight loop assembles");
     let step_run = |m: &mut Machine, n: u64| m.run(n).expect("program runs");
     let block_run = |m: &mut Machine, n: u64| m.run_blocks(n).expect("program runs").executed;
-    let super_run = |m: &mut Machine, n: u64| m.run_superblocks(n).expect("program runs").executed;
     let tight_image = Arc::new(
         MachineImage::build(&tight, 64, CycleModel::default(), EnergyModel::default())
             .expect("tight image builds"),
     );
     let tight_rate = steps_per_sec(|| Machine::new(&tight).expect("loads"), step_run, 2_000_000);
     let block_rate = steps_per_sec(|| Machine::new(&tight).expect("loads"), block_run, 2_000_000);
-    let super_rate = steps_per_sec(|| Machine::from_image(&tight_image), super_run, 2_000_000);
     let lane_rate = {
         let mut best = 0.0f64;
         for _ in 0..REPS {
@@ -235,6 +251,7 @@ fn main() {
     let frame = GrayImage::synthetic(7, 32, 32);
     let sobel = KernelKind::Sobel.build(&frame).expect("sobel builds");
     let sobel_rate = steps_per_sec(|| sobel.machine().expect("loads"), step_run, 2_000_000);
+    let sobel_tick_rate = steps_per_sec(|| sobel.machine().expect("loads"), tick, 2_000_000);
 
     println!("bench runner/run_all_quick_parallel      {parallel_s:>12.4} s (best of {REPS}, {parallel_threads} thread(s))");
     println!("bench runner/run_all_quick_parallel_4t   {parallel_4t_s:>12.4} s (best of {REPS}, 4 threads)");
@@ -253,9 +270,9 @@ fn main() {
     println!("bench runner/f12_campaign_cold           {f12_cold_s:>12.4} s (best of {REPS}, {f12_lane_groups} lane groups / {f12_lane_group_items} trials)");
     println!("bench runner/tight_loop_steps_per_sec    {tight_rate:>12.0}");
     println!("bench runner/block_steps_per_sec         {block_rate:>12.0}");
-    println!("bench runner/superblock_steps_per_sec    {super_rate:>12.0}");
     println!("bench runner/lane_steps_per_sec          {lane_rate:>12.0} ({LANE_WIDTH} lanes)");
     println!("bench runner/sobel_steps_per_sec         {sobel_rate:>12.0}");
+    println!("bench runner/sobel_tick_cap_steps_per_sec {sobel_tick_rate:>11.0} ({TICK_CYCLES}-cycle caps)");
 
     let out = std::env::var("NVP_BENCH_RUNNER_JSON").map_or_else(
         |_| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runner.json")),
@@ -267,9 +284,11 @@ fn main() {
                    for that measurement; sim_cache_disk times a cold persistent-store write \
                    and a fresh-process reload served entirely from disk; f12_campaign is the \
                    cold Monte-Carlo fault sweep alone; lane_steps_per_sec is effective \
-                   (instructions across all lanes per second)";
+                   (instructions across all lanes per second); sobel_tick_cap_steps_per_sec \
+                   runs run_bounded under 100-cycle caps, one engine call plus one straddling \
+                   step per tick";
     let json = format!(
-        "{{\n  \"schema\": \"nvp-bench-runner/4\",\n  \"comment\": \"{comment}\",\n  \
+        "{{\n  \"schema\": \"nvp-bench-runner/5\",\n  \"comment\": \"{comment}\",\n  \
          \"host_cores\": {cores},\n  \
          \"run_all_quick\": {{\n    \"parallel_s\": {parallel_s:.4},\n    \
          \"parallel_threads\": {parallel_threads},\n    \
@@ -290,10 +309,10 @@ fn main() {
          \"lane_group_items\": {f12_lane_group_items}\n  }},\n  \
          \"simulator\": {{\n    \"tight_loop_steps_per_sec\": {tight_rate:.0},\n    \
          \"block_steps_per_sec\": {block_rate:.0},\n    \
-         \"superblock_steps_per_sec\": {super_rate:.0},\n    \
          \"lane_steps_per_sec\": {lane_rate:.0},\n    \
          \"lane_width\": {LANE_WIDTH},\n    \
-         \"sobel_steps_per_sec\": {sobel_rate:.0}\n  }}\n}}\n"
+         \"sobel_steps_per_sec\": {sobel_rate:.0},\n    \
+         \"sobel_tick_cap_steps_per_sec\": {sobel_tick_rate:.0}\n  }}\n}}\n"
     );
     fs::write(&out, json).expect("write BENCH_runner.json");
     println!("wrote {}", out.display());

@@ -11,8 +11,8 @@ use nvp_isa::Program;
 use std::sync::Arc;
 
 use nvp_sim::{
-    torn_prefix_words, ArchState, Checkpoint, CycleModel, EnergyModel, Machine, MachineImage,
-    SimError, CHECKPOINT_WORDS, DEFAULT_DMEM_WORDS,
+    torn_prefix_words, ArchState, Checkpoint, CostBudget, CycleModel, EnergyModel, Machine,
+    MachineImage, SimError, CHECKPOINT_WORDS, DEFAULT_DMEM_WORDS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -634,16 +634,19 @@ impl IntermittentSystem {
     /// event (backup trigger, halt, brown-out) changes phase. Returns the
     /// remaining (possibly slightly negative) budget.
     ///
-    /// Instructions run in batches: using the machine's worst-case
-    /// per-step cost, a block size is chosen such that no energy floor,
-    /// periodic-checkpoint deadline, or brown-out can be crossed inside
-    /// the block, so the threshold checks only need to run per block.
-    /// When the remaining slack admits fewer than two instructions, the
-    /// loop falls back to the exact single-step path.
+    /// Each engine call is bounded by three conservative caps: the
+    /// cycles left in the tick, the cycles left before the periodic
+    /// checkpoint is due, and the stored energy above the reserve floor.
+    /// The engine charges every instruction its worst case against those
+    /// caps, so no threshold can be crossed inside a call and the checks
+    /// only need to run between calls. When the engine stops because the
+    /// next instruction does not fit, that one straddling instruction
+    /// runs through the exact single-step path.
     fn run_active(&mut self, mut budget: f64, obs: &mut dyn SimObserver) -> Result<f64, SimError> {
         let clock = self.current_clock_hz;
-        let max_step_s = f64::from(self.machine.max_step_cycles()) / clock;
-        let max_step_j = self.machine.max_step_energy_j();
+        // Set when the engine stopped on a cap: the next instruction
+        // straddles a boundary and is stepped.
+        let mut straddle = false;
         while budget > 1e-12 {
             // Demand backup when energy reaches the reserve floor.
             if self.thresholds.backup_reserve > Joules::ZERO
@@ -666,16 +669,18 @@ impl IntermittentSystem {
                 }
                 continue;
             }
-            // Largest block that cannot cross any threshold mid-block,
-            // assuming every instruction costs the image's worst case.
-            let mut block = safe_count(budget, max_step_s);
-            let floor = self.thresholds.backup_reserve.max(Joules::ZERO);
-            block = block.min(safe_count((self.fe.storage().energy() - floor).get(), max_step_j));
-            if let Some(interval) = self.policy.interval_s() {
-                block = block.min(safe_count(interval - self.since_ckpt_s, max_step_s));
-            }
-            if block >= 2 {
-                let stats = self.machine.run_superblocks(block)?;
+            if !straddle {
+                let mut cycles = cycles_within(budget, clock);
+                if let Some(interval) = self.policy.interval_s() {
+                    cycles = cycles.min(cycles_within(interval - self.since_ckpt_s, clock));
+                }
+                let floor = self.thresholds.backup_reserve.max(Joules::ZERO);
+                let energy_j = (self.fe.storage().energy() - floor).get() * (1.0 - CAP_MARGIN);
+                let stats = self.machine.run_bounded(CostBudget {
+                    insts: u64::MAX,
+                    cycles,
+                    energy_j: energy_j.max(0.0),
+                })?;
                 let t = stats.cycles as f64 / clock;
                 budget -= t;
                 self.report.on_time_s += t;
@@ -684,7 +689,7 @@ impl IntermittentSystem {
                 self.uncommitted += stats.executed;
                 self.report.energy.compute += Joules::new(stats.energy_j);
                 if !self.fe.storage_mut().draw_j(stats.energy_j) {
-                    // Unreachable under the block bound, but kept so the
+                    // Unreachable under the energy cap, but kept so the
                     // brown-out path cannot be silently skipped.
                     self.fe.storage_mut().deplete();
                     obs.on_event(self.report.duration_s, SimEvent::BrownOut);
@@ -695,8 +700,10 @@ impl IntermittentSystem {
                     self.begin_backup(true, obs);
                     return Ok(budget);
                 }
+                straddle = !stats.halted;
                 continue;
             }
+            straddle = false;
             let step = self.machine.step()?;
             let t = f64::from(step.cycles) / clock;
             budget -= t;
@@ -775,12 +782,7 @@ impl IntermittentSystem {
         } else {
             // Volatile SRAM: rebuild the machine, losing data memory too,
             // and invalidate the checkpoints (they reference lost data).
-            // The superblock profile is execution metadata, not machine
-            // state, so the rebuilt machine adopts it rather than
-            // re-warming from scratch after every brown-out.
-            let mut fresh = Machine::from_image(&self.image);
-            fresh.adopt_profile_from(&mut self.machine);
-            self.machine = fresh;
+            self.machine = Machine::from_image(&self.image);
             self.slots = [None, None];
             self.write_idx = 0;
         }
@@ -1000,14 +1002,15 @@ impl Platform for IntermittentSystem {
     }
 }
 
-/// How many worst-case steps of size `per_step` fit in `slack` without
-/// crossing it. Non-finite or non-positive slack admits none.
-fn safe_count(slack: f64, per_step: f64) -> u64 {
-    if per_step <= 0.0 || slack <= 0.0 {
-        return 0;
-    }
-    // `as` saturates: an unbounded ratio clamps to u64::MAX.
-    (slack / per_step) as u64
+/// Relative safety margin on the engine's cycle and energy caps, so
+/// f64 rounding in the caps can never admit work past a boundary; the
+/// work it trims is stepped exactly instead.
+const CAP_MARGIN: f64 = 1e-9;
+
+/// Whole cycles that fit in `slack_s` at `clock_hz`, less the margin.
+/// Non-positive or NaN slack admits none (`as` saturates).
+fn cycles_within(slack_s: f64, clock_hz: f64) -> u64 {
+    (slack_s * clock_hz * (1.0 - CAP_MARGIN)) as u64
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 use nvp_energy::units::{Farads, Joules, Seconds, Volts, Watts};
 use nvp_energy::{EnergyFrontEnd, FrontEndConfig, PowerTrace, Rectifier, TickIncome};
 use nvp_isa::Program;
-use nvp_sim::{CycleModel, EnergyModel, Machine, SimError, DEFAULT_DMEM_WORDS};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError, DEFAULT_DMEM_WORDS};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome};
 use crate::{RunReport, TaskCost};
@@ -123,7 +124,9 @@ enum WaitPhase {
 #[derive(Debug, Clone)]
 pub struct WaitComputeSystem {
     config: WaitComputeConfig,
-    program: Program,
+    /// Decoded program and block plans, built once and shared by every
+    /// frame's and every brown-out's fresh machine.
+    image: Arc<MachineImage>,
     machine: Machine,
     fe: EnergyFrontEnd,
     phase: WaitPhase,
@@ -139,12 +142,13 @@ impl WaitComputeSystem {
     ///
     /// Returns [`SimError`] if the program image fails to load.
     pub fn new(program: &Program, config: WaitComputeConfig) -> Result<Self, SimError> {
-        let machine = Machine::with_config(
+        let image = Arc::new(MachineImage::build(
             program,
             config.dmem_words,
             config.cycle_model,
             config.energy_model,
-        )?;
+        )?);
+        let machine = Machine::from_image(&image);
         // A supercapacitor ESD behind a charger IC: the trickle and clip
         // quirks are front-end *options*, not a forked income loop.
         let fe = EnergyFrontEnd::new(FrontEndConfig {
@@ -158,7 +162,7 @@ impl WaitComputeSystem {
         });
         Ok(WaitComputeSystem {
             config,
-            program: program.clone(),
+            image,
             machine,
             fe,
             phase: WaitPhase::Charging,
@@ -239,7 +243,7 @@ impl WaitComputeSystem {
                 self.report.committed += self.task_progress;
                 self.task_progress = 0;
                 obs.on_event(self.report.duration_s, SimEvent::TaskCommit);
-                self.reload()?;
+                self.reload();
                 if self.fe.storage().energy() < Joules::new(self.config.start_energy_j) {
                     self.phase = WaitPhase::Charging;
                     return Ok(budget);
@@ -265,7 +269,7 @@ impl WaitComputeSystem {
                 self.task_progress = 0;
                 obs.on_event(self.report.duration_s, SimEvent::BrownOut);
                 obs.on_event(self.report.duration_s, SimEvent::Rollback);
-                self.reload()?;
+                self.reload();
                 self.phase = WaitPhase::Charging;
                 return Ok(budget);
             }
@@ -274,14 +278,8 @@ impl WaitComputeSystem {
     }
 
     /// Reinitializes the volatile machine (registers, PC, SRAM).
-    fn reload(&mut self) -> Result<(), SimError> {
-        self.machine = Machine::with_config(
-            &self.program,
-            self.config.dmem_words,
-            self.config.cycle_model,
-            self.config.energy_model,
-        )?;
-        Ok(())
+    fn reload(&mut self) {
+        self.machine = Machine::from_image(&self.image);
     }
 }
 

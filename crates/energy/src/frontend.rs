@@ -244,7 +244,17 @@ impl Capacitor {
 
     /// Applies self-discharge over a duration.
     pub fn leak(&mut self, dt: Seconds) {
-        let kept = (-(dt / self.leak_tau)).exp();
+        self.leak_by(self.leak_factor(dt));
+    }
+
+    /// Fraction of the stored energy that survives `dt` of leakage.
+    fn leak_factor(&self, dt: Seconds) -> f64 {
+        (-(dt / self.leak_tau)).exp()
+    }
+
+    /// Applies self-discharge given a precomputed
+    /// [`leak_factor`](Self::leak_factor).
+    fn leak_by(&mut self, kept: f64) {
         let lost = self.energy * (1.0 - kept);
         self.energy -= lost;
         self.wasted += lost;
@@ -357,6 +367,9 @@ pub struct TickIncome {
 pub struct EnergyFrontEnd {
     config: FrontEndConfig,
     cap: Capacitor,
+    /// The last tick length and its leak factor: a trace's ticks all
+    /// share one `dt`, so the exponential is evaluated once per run.
+    leak_memo: (Seconds, f64),
 }
 
 impl EnergyFrontEnd {
@@ -369,7 +382,8 @@ impl EnergyFrontEnd {
     pub fn new(config: FrontEndConfig) -> Self {
         let cap =
             Capacitor::from_units(config.capacitance, config.cap_voltage, config.cap_leak_tau);
-        EnergyFrontEnd { config, cap }
+        let leak_memo = (Seconds::ZERO, 1.0);
+        EnergyFrontEnd { config, cap, leak_memo }
     }
 
     /// Banks one tick of harvested input power: applies the rectifier
@@ -386,7 +400,10 @@ impl EnergyFrontEnd {
         out = out.min(self.config.max_charge_power);
         let converted = out * dt;
         self.cap.charge(converted);
-        self.cap.leak(dt);
+        if self.leak_memo.0 != dt {
+            self.leak_memo = (dt, self.cap.leak_factor(dt));
+        }
+        self.cap.leak_by(self.leak_memo.1);
         TickIncome { harvested: input * dt, converted }
     }
 
@@ -500,8 +517,10 @@ mod tests {
             Seconds::new(3600.0),
         ));
         let mut cap = Capacitor::new(2.2e-6, 3.3, 3600.0);
-        let dt = 1e-4;
         for i in 0..2000 {
+            // Runs of two tick lengths: the memoized leak factor must
+            // follow every change of `dt`.
+            let dt = if i % 500 < 250 { 1e-4 } else { 2.5e-4 };
             let p = 2e-3 * (f64::from(i) / 2000.0);
             let income = fe.tick(Watts::new(p), Seconds::new(dt));
             let converted = r.output_w(p) * dt;

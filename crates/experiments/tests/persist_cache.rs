@@ -44,7 +44,10 @@ fn persistent_cache_round_trips_a_full_campaign() {
     let cfg = ExpConfig::quick();
     let cache_dir = unique_dir("nvp_persist_cache_dir");
 
-    // Cold run: every unique simulation computed and persisted.
+    // Cold run: every unique simulation computed and persisted. Start
+    // from an empty index with zeroed counters, whichever test in this
+    // process held the cache before.
+    reset_sim_cache();
     let loaded = set_cache_dir(Some(&cache_dir)).unwrap();
     assert_eq!(loaded, 0, "fresh cache directory has no records");
     let cold_out = unique_dir("nvp_persist_cold_out");

@@ -3,22 +3,22 @@
 //! At load time the predecoded image is partitioned into basic blocks
 //! (leaders computed by `nvp_isa::blocks`), and each block's body is
 //! lowered to a flat [`MicroOp`] list with pre-extracted register slots,
-//! pre-converted immediates, and per-op cost. [`Machine::run_blocks`]
-//! (`crate::Machine::run_blocks`) then executes a whole block against a
-//! local register file without per-instruction dispatch, fetch bounds
-//! checks, or per-step counter stores, applying the block's integer
-//! accounting as fused adds at the terminator.
+//! pre-converted immediates, and per-op cost. The cost-bounded engine
+//! ([`Machine::run_bounded`](crate::Machine::run_bounded)) then executes
+//! a whole block against a local register file without per-instruction
+//! dispatch, fetch bounds checks, or per-step counter stores, applying
+//! the block's integer accounting as fused adds at the terminator.
+//!
+//! Every plan also records its worst-case cycles and energy (body sum
+//! plus the dearer terminator outcome), so the engine can admit a whole
+//! block against a cost budget with one comparison, and every image
+//! address maps to a `(plan, offset)` pair, so execution can resume in
+//! the middle of a block after a partial run or a restore.
 //!
 //! Energy accounting stays *per-op, in program order*: f64 addition is
 //! not associative, so the block engine performs exactly the same
 //! sequence of `+=` operations as [`Machine::step`](crate::Machine::step)
 //! to keep totals bit-identical.
-//!
-//! The superblock tier (`crate::Machine::run_superblocks`) stacks on
-//! top: [`BlockTable::build_chains`] fuses hot block *chains* across
-//! static branches and `jal` targets from warm-up profile counts, and
-//! the engine dispatches whole chains with per-link side-exit guards
-//! that fall back to the plain block tier.
 
 use nvp_isa::blocks::branch_target;
 use nvp_isa::{Inst, Reg};
@@ -317,6 +317,23 @@ pub(crate) enum Term {
     },
 }
 
+impl Term {
+    /// Worst-case cost of the terminator: the dearer outcome's cycles
+    /// and energy (zero for fall-throughs).
+    pub(crate) fn worst(&self) -> (u32, f64) {
+        match *self {
+            Term::FallThrough { .. } => (0, 0.0),
+            Term::Branch { cycles_nt, cycles_t, energy_nt_j, energy_t_j, .. } => {
+                (cycles_nt.max(cycles_t), energy_nt_j.max(energy_t_j))
+            }
+            Term::Jal { cycles, energy_j, .. }
+            | Term::Jalr { cycles, energy_j, .. }
+            | Term::Halt { cycles, energy_j }
+            | Term::Ckpt { cycles, energy_j, .. } => (cycles, energy_j),
+        }
+    }
+}
+
 /// One basic block's fused execution plan.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockPlan {
@@ -331,6 +348,12 @@ pub(crate) struct BlockPlan {
     pub(crate) insts: u64,
     /// Total cycles of the body ops (terminator excluded).
     pub(crate) body_cycles: u64,
+    /// Worst-case cycles of a full execution: the body plus the dearer
+    /// terminator outcome.
+    pub(crate) worst_cycles: u64,
+    /// Worst-case energy of a full execution, joules (body ops summed in
+    /// program order, plus the dearer terminator outcome).
+    pub(crate) worst_energy_j: f64,
     /// Per-[`InstClass`](crate::InstClass) body counts, fused-added on
     /// block completion.
     pub(crate) body_class_counts: [u64; 9],
@@ -341,17 +364,18 @@ pub(crate) struct BlockPlan {
 }
 
 /// The per-image block partition: one [`BlockPlan`] per leader plus the
-/// flattened body-op pool and the leader → plan index map.
+/// flattened body-op pool and the pc → `(plan, offset)` map.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockTable {
     pub(crate) plans: Vec<BlockPlan>,
     pub(crate) ops: Vec<MicroOp>,
-    /// `leader[pc]` is the plan index if `pc` is a leader, else
-    /// [`NO_PLAN`].
-    pub(crate) leader: Vec<u32>,
+    /// `at[pc]` is the plan covering `pc` and `pc`'s offset within it
+    /// (0 at the plan's start; `op_len` at its terminator). Every image
+    /// address is covered.
+    pub(crate) at: Vec<(u32, u32)>,
 }
 
-/// Sentinel for "this address is not a block leader".
+/// Sentinel for "this address starts no block".
 pub(crate) const NO_PLAN: u32 = u32::MAX;
 
 fn make_term(d: &Decoded, pc: u32) -> Term {
@@ -397,71 +421,15 @@ fn make_term(d: &Decoded, pc: u32) -> Term {
     }
 }
 
-/// Maximum number of blocks fused into one superblock chain.
-pub(crate) const MAX_CHAIN_LEN: usize = 16;
-
 impl BlockTable {
-    /// Builds profile-directed superblock chains from warm-up counts.
-    ///
-    /// `execs[p]` is how often plan `p` executed during warm-up and
-    /// `edges[p]` holds its two hottest observed successor edges. Chains
-    /// grow greedily from the hottest unchained block: a link is added
-    /// only when its hottest successor edge *dominates* (covers at least
-    /// half of the block's executions), the successor is not already on
-    /// a chain, and the chain stays acyclic — self-looping blocks are
-    /// left to the block tier's streak batching, and `halt`/`ckpt`
-    /// terminators never extend (they end the run). Blocks can only be
-    /// *entered* at a chain head; side entries dispatch as plain blocks.
-    ///
-    /// Returns the flattened chain elements plus a per-plan
-    /// `(start, len)` span into them (`len < 2` means "no chain here").
-    pub(crate) fn build_chains(
-        &self,
-        execs: &[u64],
-        edges: &[[(u32, u64); 2]],
-    ) -> (Vec<u32>, Vec<(u32, u32)>) {
-        let n = self.plans.len();
-        let mut elems = Vec::new();
-        let mut span = vec![(0u32, 0u32); n];
-        let mut in_chain = vec![false; n];
-        // Hottest heads first; index tiebreak keeps the build
-        // deterministic for equal counts.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&p| (std::cmp::Reverse(execs[p as usize]), p));
-        for &head in &order {
-            if execs[head as usize] == 0 || in_chain[head as usize] {
-                continue;
-            }
-            let mut chain = vec![head];
-            let mut cur = head;
-            loop {
-                if chain.len() >= MAX_CHAIN_LEN {
-                    break;
-                }
-                if matches!(self.plans[cur as usize].term, Term::Halt { .. } | Term::Ckpt { .. }) {
-                    break;
-                }
-                let e = &edges[cur as usize];
-                let (succ, cnt) = if e[0].1 >= e[1].1 { e[0] } else { e[1] };
-                if succ == NO_PLAN || cnt * 2 < execs[cur as usize] {
-                    break;
-                }
-                if in_chain[succ as usize] || chain.contains(&succ) {
-                    break;
-                }
-                chain.push(succ);
-                cur = succ;
-            }
-            if chain.len() >= 2 {
-                let start = elems.len() as u32;
-                span[head as usize] = (start, chain.len() as u32);
-                for &p in &chain {
-                    in_chain[p as usize] = true;
-                }
-                elems.extend_from_slice(&chain);
-            }
+    /// The plan starting at `pc`, or [`NO_PLAN`] if `pc` is outside the
+    /// image or inside a block.
+    #[inline]
+    pub(crate) fn plan_at(&self, pc: u32) -> u32 {
+        match self.at.get(pc as usize) {
+            Some(&(plan, 0)) => plan,
+            _ => NO_PLAN,
         }
-        (elems, span)
     }
 
     /// Partitions a predecoded image into basic blocks and lowers each
@@ -470,27 +438,27 @@ impl BlockTable {
         let insts: Vec<Inst> = code.iter().map(|d| d.inst).collect();
         let is_leader = nvp_isa::blocks::leaders(&insts, entry);
         let mut table =
-            BlockTable { plans: Vec::new(), ops: Vec::new(), leader: vec![NO_PLAN; code.len()] };
+            BlockTable { plans: Vec::new(), ops: Vec::new(), at: vec![(NO_PLAN, 0); code.len()] };
+        // The scan starts a block at address 0 and then at each block
+        // end, which is always a leader (every address after a
+        // terminator is one), so the plans cover the whole image.
         let mut pc = 0usize;
         while pc < code.len() {
-            if !is_leader[pc] {
-                // Only reachable through a dynamic jump; the engine
-                // single-steps such addresses.
-                pc += 1;
-                continue;
-            }
-            table.leader[pc] = table.plans.len() as u32;
+            let plan_idx = table.plans.len() as u32;
             let op_start = table.ops.len() as u32;
             let mut body_cycles = 0u64;
+            let mut body_energy_j = 0.0f64;
             let mut body_class_counts = [0u64; 9];
             let mut cur = pc;
             let term = loop {
+                table.at[cur] = (plan_idx, (cur - pc) as u32);
                 let d = &code[cur];
                 if d.inst.is_block_terminator() {
                     break make_term(d, cur as u32);
                 }
                 let op = MicroOp::lower(d).expect("non-terminators lower to micro-ops");
                 body_cycles += u64::from(op.cycles);
+                body_energy_j += op.energy_j;
                 body_class_counts[usize::from(op.class_idx)] += 1;
                 table.ops.push(op);
                 cur += 1;
@@ -503,12 +471,15 @@ impl BlockTable {
                 Term::FallThrough { next } => (0u64, 0u8, next as usize),
                 _ => (1u64, code[cur].class.index() as u8, cur + 1),
             };
+            let (term_cycles, term_energy_j) = term.worst();
             table.plans.push(BlockPlan {
                 start: pc as u32,
                 op_start,
                 op_len,
                 insts: u64::from(op_len) + term_insts,
                 body_cycles,
+                worst_cycles: body_cycles + u64::from(term_cycles),
+                worst_energy_j: body_energy_j + term_energy_j,
                 body_class_counts,
                 term_class,
                 term,

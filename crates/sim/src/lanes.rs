@@ -260,8 +260,7 @@ impl LaneMachine {
     fn run_lockstep(&mut self, max_insts: u64) {
         let mut executed = 0u64;
         while executed < max_insts && !self.halted && !self.active.is_empty() {
-            let plan_idx =
-                self.image.blocks.leader.get(self.pc as usize).copied().unwrap_or(NO_PLAN);
+            let plan_idx = self.image.blocks.plan_at(self.pc);
             let fits = plan_idx != NO_PLAN
                 && self.image.blocks.plans[plan_idx as usize].insts <= max_insts - executed;
             if !fits {

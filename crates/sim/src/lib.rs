@@ -44,7 +44,7 @@ pub use checkpoint::{crc32_bytes, crc32_words, torn_prefix_words, Checkpoint, CH
 pub use energy::{CycleModel, EnergyModel, InstClass};
 pub use lanes::{LaneMachine, LaneStats, MAX_LANES};
 pub use machine::{
-    ArchState, BlockStats, Counters, Machine, MachineImage, SimError, Step, SuperblockStats,
+    ArchState, BlockStats, CostBudget, Counters, Machine, MachineImage, SimError, Step,
 };
 
 /// Default installed data-memory size in 16-bit words (8 Ki-words = 16 KiB).

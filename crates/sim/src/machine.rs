@@ -7,7 +7,7 @@ use nvp_isa::blocks::branch_target;
 use nvp_isa::{DecodeError, Inst, Program, Reg};
 use serde::{Deserialize, Serialize};
 
-use crate::block::{BlockTable, Cond, MicroKind, MicroOp, Term, NO_PLAN, NUM_SLOTS};
+use crate::block::{BlockTable, Cond, MicroKind, MicroOp, Term, NUM_SLOTS};
 use crate::{CycleModel, EnergyModel, InstClass, DEFAULT_DMEM_WORDS};
 
 /// The volatile architectural state an NVP must back up: the register file
@@ -111,6 +111,41 @@ pub struct BlockStats {
     pub checkpoint: bool,
 }
 
+/// A cost budget for [`Machine::run_bounded`]: caps on the retired
+/// instructions and on their summed worst-case cycles and energy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostBudget {
+    /// Instructions that may retire.
+    pub insts: u64,
+    /// Worst-case cycles that may retire.
+    pub cycles: u64,
+    /// Worst-case energy that may retire, joules.
+    pub energy_j: f64,
+}
+
+impl CostBudget {
+    /// An instruction cap with no cycle or energy limit.
+    #[must_use]
+    pub fn insts(n: u64) -> CostBudget {
+        CostBudget { insts: n, cycles: u64::MAX, energy_j: f64::INFINITY }
+    }
+
+    /// `true` if a run of `insts` instructions costing at most `cycles`
+    /// and `energy_j` fits what is left.
+    #[inline]
+    fn admits(&self, insts: u64, cycles: u64, energy_j: f64) -> bool {
+        insts <= self.insts && cycles <= self.cycles && energy_j <= self.energy_j
+    }
+
+    /// Charges an admitted run against the budget.
+    #[inline]
+    fn charge(&mut self, insts: u64, cycles: u64, energy_j: f64) {
+        self.insts -= insts;
+        self.cycles -= cycles;
+        self.energy_j -= energy_j;
+    }
+}
+
 /// The outcome of executing a single instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Step {
@@ -173,8 +208,8 @@ impl std::error::Error for SimError {
 }
 
 /// The immutable, shareable part of a loaded program: predecoded code,
-/// fused block plans, worst-case step costs, and the initial data-memory
-/// contents (zero-fill plus data segments).
+/// fused block plans with their worst-case costs, and the initial
+/// data-memory contents (zero-fill plus data segments).
 ///
 /// Building an image does all the per-program work — decode, block
 /// partitioning, micro-op lowering — exactly once; any number of
@@ -186,8 +221,6 @@ impl std::error::Error for SimError {
 pub struct MachineImage {
     pub(crate) code: Vec<Decoded>,
     pub(crate) blocks: BlockTable,
-    pub(crate) max_step_cycles: u32,
-    pub(crate) max_step_energy_j: f64,
     pub(crate) entry: u32,
     pub(crate) dmem_init: Vec<u16>,
 }
@@ -212,13 +245,6 @@ impl MachineImage {
                 Inst::decode(word).map_err(|source| SimError::Decode { pc: pc as u32, source })?;
             code.push(Decoded::new(inst, &cycle_model, &energy_model));
         }
-        // Worst-case single-step cost over this image, used by platform
-        // models to bound how many instructions can safely run as one
-        // batch before re-checking energy/time thresholds.
-        let max_step_cycles =
-            code.iter().map(|d| d.cycles_not_taken.max(d.cycles_taken)).max().unwrap_or(1);
-        let max_step_energy_j =
-            code.iter().map(|d| d.energy_not_taken_j.max(d.energy_taken_j)).fold(0.0f64, f64::max);
         let mut dmem_init = vec![0u16; dmem_words];
         for seg in program.data_segments() {
             let start = usize::from(seg.addr);
@@ -232,14 +258,7 @@ impl MachineImage {
             dmem_init[start..end].copy_from_slice(&seg.words);
         }
         let blocks = BlockTable::build(&code, program.entry());
-        Ok(MachineImage {
-            code,
-            blocks,
-            max_step_cycles,
-            max_step_energy_j,
-            entry: program.entry(),
-            dmem_init,
-        })
+        Ok(MachineImage { code, blocks, entry: program.entry(), dmem_init })
     }
 
     /// Entry-point word address.
@@ -258,104 +277,6 @@ impl MachineImage {
     #[must_use]
     pub fn code_len(&self) -> usize {
         self.code.len()
-    }
-}
-
-/// Cumulative statistics for the superblock tier of one [`Machine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SuperblockStats {
-    /// Chains formed when the profiling warm-up completed (0 until then).
-    pub chains_formed: u64,
-    /// Dispatches that entered execution at a chain head.
-    pub chain_runs: u64,
-    /// Blocks retired through chain links (head included).
-    pub chained_blocks: u64,
-    /// Early exits out of a chain: a link's entry guard failed (control
-    /// left the hot trace) or the remaining budget could not fit the next
-    /// link, falling back to the block tier.
-    pub side_exits: u64,
-}
-
-/// Per-machine superblock state: warm-up profile, built chains, stats.
-///
-/// Profiling counts block executions and inter-block edges at streak
-/// granularity; once [`SB_WARMUP_EXECS`] block executions are observed
-/// the hot chains are built (once) and dispatch switches to them.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SuperState {
-    execs: Vec<u64>,
-    edges: Vec<[(u32, u64); 2]>,
-    ticks: u64,
-    built: bool,
-    chain_elems: Vec<u32>,
-    chain_span: Vec<(u32, u32)>,
-    stats: SuperblockStats,
-}
-
-/// Block executions observed before hot chains are built.
-const SB_WARMUP_EXECS: u64 = 512;
-
-impl SuperState {
-    /// (Re)sizes the profile arrays for an image with `nplans` blocks.
-    fn ensure(&mut self, nplans: usize) {
-        if self.execs.len() != nplans {
-            self.execs = vec![0; nplans];
-            self.edges = vec![[(NO_PLAN, 0); 2]; nplans];
-            self.chain_span = vec![(0, 0); nplans];
-            self.chain_elems.clear();
-            self.ticks = 0;
-            self.built = false;
-        }
-    }
-
-    /// The chain rooted at `plan`, as a span into `chain_elems`, if one
-    /// was built.
-    #[inline]
-    fn chain_at(&self, plan: u32) -> Option<(u32, u32)> {
-        if !self.built {
-            return None;
-        }
-        let (start, len) = self.chain_span[plan as usize];
-        (len >= 2).then_some((start, len))
-    }
-
-    /// Records one streak: `repeats` back-to-back executions of `plan`
-    /// followed by an exit towards `succ` (or [`NO_PLAN`] when the run
-    /// stopped). Builds the chains once warm.
-    fn record(&mut self, plan: u32, repeats: u64, succ: u32, table: &BlockTable) {
-        self.execs[plan as usize] += repeats;
-        self.ticks += repeats;
-        if repeats > 1 {
-            self.record_edge(plan, plan, repeats - 1);
-        }
-        if succ != NO_PLAN {
-            self.record_edge(plan, succ, 1);
-        }
-        if !self.built && self.ticks >= SB_WARMUP_EXECS {
-            let (elems, span) = table.build_chains(&self.execs, &self.edges);
-            self.stats.chains_formed = span.iter().filter(|&&(_, len)| len >= 2).count() as u64;
-            self.chain_elems = elems;
-            self.chain_span = span;
-            self.built = true;
-        }
-    }
-
-    /// Two-way counters per source block: enough to find a dominant
-    /// successor without unbounded edge maps.
-    fn record_edge(&mut self, from: u32, to: u32, n: u64) {
-        let e = &mut self.edges[from as usize];
-        if e[0].0 == to {
-            e[0].1 += n;
-        } else if e[1].0 == to {
-            e[1].1 += n;
-            if e[1].1 > e[0].1 {
-                e.swap(0, 1);
-            }
-        } else if e[0].0 == NO_PLAN {
-            e[0] = (to, n);
-        } else if e[1].0 == NO_PLAN || n > e[1].1 {
-            e[1] = (to, n);
-        }
     }
 }
 
@@ -381,7 +302,6 @@ pub struct Machine {
     inputs: [u16; 16],
     out_log: Vec<(u8, u16)>,
     counters: Counters,
-    sb: SuperState,
 }
 
 impl Machine {
@@ -429,7 +349,6 @@ impl Machine {
             inputs: [0; 16],
             out_log: Vec::new(),
             counters: Counters::default(),
-            sb: SuperState::default(),
         }
     }
 
@@ -445,40 +364,13 @@ impl Machine {
         out_log: Vec<(u8, u16)>,
         counters: Counters,
     ) -> Machine {
-        Machine {
-            image,
-            regs,
-            pc,
-            halted,
-            dmem,
-            inputs,
-            out_log,
-            counters,
-            sb: SuperState::default(),
-        }
+        Machine { image, regs, pc, halted, dmem, inputs, out_log, counters }
     }
 
     /// The shared program image this machine executes.
     #[must_use]
     pub fn image(&self) -> &Arc<MachineImage> {
         &self.image
-    }
-
-    /// Moves the superblock warm-up profile, built chains, and stats from
-    /// `donor` into `self`, so a machine rebuilt after a power failure
-    /// (same image) keeps its learned hot traces instead of re-warming.
-    pub fn adopt_profile_from(&mut self, donor: &mut Machine) {
-        debug_assert!(
-            Arc::ptr_eq(&self.image, &donor.image),
-            "superblock profiles are only portable between machines sharing an image"
-        );
-        self.sb = std::mem::take(&mut donor.sb);
-    }
-
-    /// Cumulative superblock-tier statistics for this machine.
-    #[must_use]
-    pub fn superblock_stats(&self) -> SuperblockStats {
-        self.sb.stats
     }
 
     /// Executes one instruction.
@@ -648,11 +540,8 @@ impl Machine {
 
     /// Runs up to `max_insts` instructions, stopping early on `halt` or
     /// `ckpt`, and returns the block's aggregate cost instead of
-    /// per-step values — platform models use this to consult their
-    /// energy frontend once per block. Bound `max_insts` with
-    /// [`max_step_cycles`](Machine::max_step_cycles) /
-    /// [`max_step_energy_j`](Machine::max_step_energy_j) to keep
-    /// threshold checks exact.
+    /// per-step values. This is the per-instruction reference that
+    /// [`run_bounded`](Machine::run_bounded) is tested against.
     ///
     /// # Errors
     ///
@@ -673,9 +562,31 @@ impl Machine {
         Ok(stats)
     }
 
-    /// Like [`run_block`](Machine::run_block), but executes whole basic
-    /// blocks through the fused block plans built at load time instead
-    /// of dispatching instruction by instruction.
+    /// [`run_bounded`](Machine::run_bounded) with an instruction cap
+    /// alone: runs up to `max_insts` instructions through the fused
+    /// block engine, stopping early on `halt`, `ckpt`, or a fault —
+    /// exactly what [`run_block`](Machine::run_block) retires.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first execution fault (see [`Machine::step`]).
+    pub fn run_blocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
+        self.run_bounded(CostBudget::insts(max_insts))
+    }
+
+    /// Runs instructions through the fused block plans built at load
+    /// time until the next instruction's worst-case cost no longer fits
+    /// what is left of `budget`, or until `halt`, `ckpt` (with
+    /// `checkpoint` set, matching `run_block`), or a fault.
+    ///
+    /// Costs are charged to the budget at their worst case (a branch
+    /// counts its dearer outcome), so the retired instructions' summed
+    /// worst-case cycles and energy never exceed the caps, and the
+    /// engine never stops while the next instruction would still fit.
+    /// A whole block runs when its precomputed worst case fits; a block
+    /// that does not fit runs its longest fitting body prefix, and a
+    /// later call resumes mid-block at the same pc (as it does after a
+    /// [`restore`](Machine::restore) to a non-leader address).
     ///
     /// Straight-line block bodies run against a local register file with
     /// no per-step counter stores; integer accounting (instructions,
@@ -685,268 +596,179 @@ impl Machine {
     /// bit-identical to an equivalent sequence of [`step`](Machine::step)
     /// calls, including [`Counters`] and the returned [`BlockStats`].
     ///
-    /// The engine falls back to [`step`](Machine::step) whenever a block
-    /// cannot run whole: at non-leader addresses (entered via `jalr` or
-    /// a mid-block [`restore`](Machine::restore)) and when fewer than a
-    /// full block's instructions remain in `max_insts`. Execution stops
-    /// early on `halt`, on `ckpt` (with `checkpoint` set, matching
-    /// `run_block`), or on a fault.
-    ///
     /// # Errors
     ///
     /// Propagates the first execution fault (see [`Machine::step`]);
     /// architectural state and counters reflect every instruction
     /// retired before the fault, exactly as in step mode.
-    pub fn run_blocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
-        self.run_fused::<false>(max_insts)
-    }
-
-    /// Like [`run_blocks`](Machine::run_blocks), plus a profile-directed
-    /// superblock tier stacked on top: during warm-up the engine counts
-    /// block executions and inter-block edges; once warm it fuses hot
-    /// block *chains* across static branches and `jal` targets and
-    /// dispatches whole chains without returning to the outer loop
-    /// between links. Every link carries a side-exit guard — if control
-    /// leaves the recorded trace or the budget cannot fit the next link,
-    /// the chain exits early and the block tier (with its streak
-    /// batching) resumes exactly where step mode would be.
-    ///
-    /// Results are bit-identical to [`run_blocks`](Machine::run_blocks)
-    /// and therefore to [`step`](Machine::step), including [`Counters`],
-    /// energy bit patterns, and fault accounting. See
-    /// [`superblock_stats`](Machine::superblock_stats) for chain/side-exit
-    /// counts and [`adopt_profile_from`](Machine::adopt_profile_from) for
-    /// carrying the learned profile across power-failure rebuilds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution fault (see [`Machine::step`]).
-    pub fn run_superblocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
-        self.run_fused::<true>(max_insts)
-    }
-
-    /// The fused execution engine behind both block-level tiers. `SB`
-    /// selects the superblock tier (profiling + chain dispatch) at
-    /// compile time so the plain block tier pays nothing for it.
-    fn run_fused<const SB: bool>(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
+    pub fn run_bounded(&mut self, budget: CostBudget) -> Result<BlockStats, SimError> {
         let mut stats = BlockStats::default();
         // Local register file (slot 16 absorbs r0 writes) and energy
-        // accumulators, synced back on every exit and around fallbacks.
+        // accumulators, synced back on exit.
         let mut lr = [0u16; NUM_SLOTS];
         lr[..16].copy_from_slice(&self.regs);
         let mut c_energy = self.counters.energy_j;
         let mut s_energy = 0.0f64;
-        if SB {
-            self.sb.ensure(self.image.blocks.plans.len());
-        }
+        let mut left = budget;
+        let table = &self.image.blocks;
 
-        while stats.executed < max_insts && !self.halted {
-            let plan_idx =
-                self.image.blocks.leader.get(self.pc as usize).copied().unwrap_or(NO_PLAN);
-            let whole_block_fits = plan_idx != NO_PLAN
-                && self.image.blocks.plans[plan_idx as usize].insts <= max_insts - stats.executed;
-            if !whole_block_fits {
-                // Fallback: single-step with state synced to the machine.
-                self.regs.copy_from_slice(&lr[..16]);
-                self.counters.energy_j = c_energy;
-                let step = self.step()?;
-                lr[..16].copy_from_slice(&self.regs);
-                c_energy = self.counters.energy_j;
-                stats.executed += 1;
-                stats.cycles += u64::from(step.cycles);
-                s_energy += step.energy_j;
-                if step.checkpoint {
-                    stats.checkpoint = true;
-                    break;
+        let fault = loop {
+            if left.insts == 0 || self.halted {
+                break None;
+            }
+            let Some(&(plan_idx, off)) = table.at.get(self.pc as usize) else {
+                break Some(SimError::PcOutOfRange { pc: self.pc });
+            };
+            let plan = &table.plans[plan_idx as usize];
+
+            if off == 0 && left.admits(plan.insts, plan.worst_cycles, plan.worst_energy_j) {
+                let ops =
+                    &table.ops[plan.op_start as usize..(plan.op_start + plan.op_len) as usize];
+                // Streak loop: hot loops whose terminator jumps back to
+                // this same leader re-execute the block without leaving
+                // this arm. Integer accounting is associative, so it is
+                // applied once per streak (multiplied by the repeat
+                // count); energy stays one add per op, in order.
+                let mut repeats = 0u64;
+                let mut term_cycles = 0u64;
+                let mut taken_count = 0u64;
+                let mut body_fault = None;
+                loop {
+                    if let Some(f) = exec_body(
+                        ops,
+                        &mut lr,
+                        &mut self.dmem,
+                        &self.inputs,
+                        &mut self.out_log,
+                        &mut c_energy,
+                        &mut s_energy,
+                    ) {
+                        body_fault = Some(f);
+                        break;
+                    }
+                    let t = exec_term(
+                        &plan.term,
+                        &mut lr,
+                        plan.start + plan.op_len,
+                        &mut c_energy,
+                        &mut s_energy,
+                    );
+                    term_cycles += u64::from(t.cycles);
+                    taken_count += u64::from(t.taken);
+                    self.halted |= t.halted;
+                    stats.checkpoint |= t.checkpoint;
+                    repeats += 1;
+                    left.charge(plan.insts, plan.worst_cycles, plan.worst_energy_j);
+                    // halt/ckpt ends not just the streak but the call.
+                    if t.halted
+                        || t.checkpoint
+                        || t.next != plan.start
+                        || !left.admits(plan.insts, plan.worst_cycles, plan.worst_energy_j)
+                    {
+                        self.pc = t.next;
+                        break;
+                    }
+                }
+
+                // Fused integer accounting for the full repeats.
+                let retired = plan.insts * repeats;
+                let cycles = plan.body_cycles * repeats + term_cycles;
+                self.counters.instructions += retired;
+                self.counters.cycles += cycles;
+                stats.executed += retired;
+                stats.cycles += cycles;
+                if repeats > 0 {
+                    for (count, add) in
+                        self.counters.class_counts.iter_mut().zip(&plan.body_class_counts)
+                    {
+                        *count += add * repeats;
+                    }
+                    if !matches!(plan.term, Term::FallThrough { .. }) {
+                        self.counters.class_counts[usize::from(plan.term_class)] += repeats;
+                    }
+                    self.counters.branches_taken += taken_count;
+                }
+                if let Some((done, addr)) = body_fault {
+                    // Partial block: account the retired prefix exactly
+                    // as step mode would, then report the fault at its pc.
+                    let pc = plan.start + done as u32;
+                    retire_ops(&mut self.counters, &ops[..done]);
+                    self.pc = pc;
+                    break Some(SimError::MemOutOfRange { addr, pc });
+                }
+                if stats.checkpoint {
+                    break None;
                 }
                 continue;
             }
 
-            if SB {
-                if let Some((chain_start, chain_len)) = self.sb.chain_at(plan_idx) {
-                    self.sb.stats.chain_runs += 1;
-                    for k in 0..chain_len {
-                        let q = self.sb.chain_elems[(chain_start + k) as usize] as usize;
-                        let plan = self.image.blocks.plans[q];
-                        // Side-exit guard: control must still be on the
-                        // recorded trace and the whole link must fit the
-                        // remaining budget; otherwise fall back to the
-                        // block tier (the outer loop re-dispatches).
-                        if k > 0
-                            && (self.pc != plan.start || plan.insts > max_insts - stats.executed)
-                        {
-                            self.sb.stats.side_exits += 1;
-                            break;
-                        }
-                        let ops = &self.image.blocks.ops
-                            [plan.op_start as usize..(plan.op_start + plan.op_len) as usize];
-                        if let Some((done, addr)) = exec_body(
-                            ops,
-                            &mut lr,
-                            &mut self.dmem,
-                            &self.inputs,
-                            &mut self.out_log,
-                            &mut c_energy,
-                            &mut s_energy,
-                        ) {
-                            // Partial link: account the retired prefix
-                            // exactly as step mode would, then report the
-                            // fault at its pc.
-                            self.counters.instructions += done as u64;
-                            for op in &ops[..done] {
-                                self.counters.cycles += u64::from(op.cycles);
-                                self.counters.class_counts[usize::from(op.class_idx)] += 1;
-                            }
-                            self.counters.energy_j = c_energy;
-                            self.regs.copy_from_slice(&lr[..16]);
-                            let pc = plan.start + done as u32;
-                            self.pc = pc;
-                            return Err(SimError::MemOutOfRange { addr, pc });
-                        }
-                        let t = exec_term(
-                            &plan.term,
-                            &mut lr,
-                            plan.start + plan.op_len,
-                            &mut c_energy,
-                            &mut s_energy,
-                        );
-                        self.counters.instructions += plan.insts;
-                        self.counters.cycles += plan.body_cycles + u64::from(t.cycles);
-                        stats.executed += plan.insts;
-                        stats.cycles += plan.body_cycles + u64::from(t.cycles);
-                        for (count, add) in
-                            self.counters.class_counts.iter_mut().zip(&plan.body_class_counts)
-                        {
-                            *count += add;
-                        }
-                        if !matches!(plan.term, Term::FallThrough { .. }) {
-                            self.counters.class_counts[usize::from(plan.term_class)] += 1;
-                        }
-                        self.counters.branches_taken += u64::from(t.taken);
-                        self.sb.stats.chained_blocks += 1;
-                        if t.halted {
-                            self.halted = true;
-                        }
-                        if t.checkpoint {
-                            stats.checkpoint = true;
-                        }
-                        self.pc = t.next;
-                        if t.halted || t.checkpoint {
-                            break;
-                        }
-                    }
-                    if stats.checkpoint {
-                        break;
-                    }
-                    continue;
+            // The block cannot run whole from here: retire the longest
+            // fitting prefix of the rest of its body, then the
+            // terminator if its worst case fits too.
+            let body =
+                &table.ops[(plan.op_start + off) as usize..(plan.op_start + plan.op_len) as usize];
+            let mut fit = 0usize;
+            for op in body {
+                if !left.admits(1, u64::from(op.cycles), op.energy_j) {
+                    break;
                 }
+                left.charge(1, u64::from(op.cycles), op.energy_j);
+                fit += 1;
             }
-
-            let plan = &self.image.blocks.plans[plan_idx as usize];
-            let ops = &self.image.blocks.ops
-                [plan.op_start as usize..(plan.op_start + plan.op_len) as usize];
-            // Streak loop: hot loops whose terminator jumps back to this
-            // same leader re-execute the block without leaving this arm.
-            // Integer accounting is associative, so it is applied once
-            // per streak (multiplied by the repeat count); energy stays
-            // one add per op, in order.
-            let mut budget_left = max_insts - stats.executed;
-            let mut repeats = 0u64;
-            let mut term_cycles = 0u64;
-            let mut taken_count = 0u64;
-            let mut fault: Option<(usize, u16)> = None;
-            let mut stopped = false;
-            'streak: loop {
-                if let Some(f) = exec_body(
-                    ops,
-                    &mut lr,
-                    &mut self.dmem,
-                    &self.inputs,
-                    &mut self.out_log,
-                    &mut c_energy,
-                    &mut s_energy,
-                ) {
-                    fault = Some(f);
-                    break 'streak;
-                }
-
-                let t = exec_term(
-                    &plan.term,
-                    &mut lr,
-                    plan.start + plan.op_len,
-                    &mut c_energy,
-                    &mut s_energy,
-                );
-                term_cycles += u64::from(t.cycles);
-                taken_count += u64::from(t.taken);
-                if t.halted {
-                    self.halted = true;
-                }
-                if t.checkpoint {
-                    stats.checkpoint = true;
-                }
-                repeats += 1;
-                budget_left -= plan.insts;
-                // halt/ckpt ends not just the streak but the call.
-                let stop = t.halted || t.checkpoint;
-                if stop || t.next != plan.start || plan.insts > budget_left {
-                    self.pc = t.next;
-                    stopped = stop;
-                    break 'streak;
-                }
-            }
-
-            // Fused integer accounting for the full repeats of the streak.
-            let retired = plan.insts * repeats;
-            self.counters.instructions += retired;
-            self.counters.cycles += plan.body_cycles * repeats + term_cycles;
-            stats.executed += retired;
-            stats.cycles += plan.body_cycles * repeats + term_cycles;
-            if repeats > 0 {
-                for (count, add) in
-                    self.counters.class_counts.iter_mut().zip(&plan.body_class_counts)
-                {
-                    *count += add * repeats;
-                }
-                if !matches!(plan.term, Term::FallThrough { .. }) {
-                    self.counters.class_counts[usize::from(plan.term_class)] += repeats;
-                }
-                self.counters.branches_taken += taken_count;
-            }
-
-            if let Some((done, addr)) = fault {
-                // Partial block: account the retired prefix exactly as
-                // step mode would, then report the fault at its pc.
-                self.counters.instructions += done as u64;
-                for op in &ops[..done] {
-                    self.counters.cycles += u64::from(op.cycles);
-                    self.counters.class_counts[usize::from(op.class_idx)] += 1;
-                }
-                self.counters.energy_j = c_energy;
-                self.regs.copy_from_slice(&lr[..16]);
-                let pc = plan.start + done as u32;
+            let start = plan.start + off;
+            let prefix = &body[..fit];
+            if let Some((done, addr)) = exec_body(
+                prefix,
+                &mut lr,
+                &mut self.dmem,
+                &self.inputs,
+                &mut self.out_log,
+                &mut c_energy,
+                &mut s_energy,
+            ) {
+                let pc = start + done as u32;
+                retire_ops(&mut self.counters, &prefix[..done]);
                 self.pc = pc;
-                return Err(SimError::MemOutOfRange { addr, pc });
+                break Some(SimError::MemOutOfRange { addr, pc });
             }
-
-            if SB && !self.sb.built {
-                // Streak-granularity profiling: `repeats` executions of
-                // this block, `repeats - 1` self-edges, one exit edge.
-                let succ = if stopped {
-                    NO_PLAN
-                } else {
-                    self.image.blocks.leader.get(self.pc as usize).copied().unwrap_or(NO_PLAN)
-                };
-                self.sb.record(plan_idx, repeats, succ, &self.image.blocks);
+            let cycles = retire_ops(&mut self.counters, prefix);
+            stats.executed += fit as u64;
+            stats.cycles += cycles;
+            if fit < body.len() {
+                self.pc = start + fit as u32;
+                break None;
             }
-
-            if stats.checkpoint {
-                break;
+            let term_pc = plan.start + plan.op_len;
+            if let Term::FallThrough { next } = plan.term {
+                self.pc = next;
+                continue;
             }
-        }
+            let (term_cycles, term_energy_j) = plan.term.worst();
+            if !left.admits(1, u64::from(term_cycles), term_energy_j) {
+                self.pc = term_pc;
+                break None;
+            }
+            left.charge(1, u64::from(term_cycles), term_energy_j);
+            let t = exec_term(&plan.term, &mut lr, term_pc, &mut c_energy, &mut s_energy);
+            self.counters.instructions += 1;
+            self.counters.cycles += u64::from(t.cycles);
+            self.counters.class_counts[usize::from(plan.term_class)] += 1;
+            self.counters.branches_taken += u64::from(t.taken);
+            stats.executed += 1;
+            stats.cycles += u64::from(t.cycles);
+            self.pc = t.next;
+            self.halted |= t.halted;
+            if t.checkpoint {
+                stats.checkpoint = true;
+                break None;
+            }
+        };
 
         self.regs.copy_from_slice(&lr[..16]);
         self.counters.energy_j = c_energy;
+        if let Some(e) = fault {
+            return Err(e);
+        }
         stats.energy_j = s_energy;
         stats.halted = self.halted;
         Ok(stats)
@@ -956,20 +778,6 @@ impl Machine {
     #[must_use]
     pub fn block_count(&self) -> usize {
         self.image.blocks.plans.len()
-    }
-
-    /// Worst-case cycles any single instruction in the loaded image can
-    /// take (taken-branch outcome included).
-    #[must_use]
-    pub fn max_step_cycles(&self) -> u32 {
-        self.image.max_step_cycles
-    }
-
-    /// Worst-case energy any single instruction in the loaded image can
-    /// draw, joules.
-    #[must_use]
-    pub fn max_step_energy_j(&self) -> f64 {
-        self.image.max_step_energy_j
     }
 
     #[inline]
@@ -1110,6 +918,19 @@ pub(crate) struct TermOutcome {
     pub(crate) taken: bool,
     pub(crate) halted: bool,
     pub(crate) checkpoint: bool,
+}
+
+/// Applies the integer accounting of retired body ops (instructions,
+/// cycles, class counts) and returns their cycles.
+fn retire_ops(counters: &mut Counters, ops: &[MicroOp]) -> u64 {
+    let mut cycles = 0u64;
+    for op in ops {
+        cycles += u64::from(op.cycles);
+        counters.class_counts[usize::from(op.class_idx)] += 1;
+    }
+    counters.instructions += ops.len() as u64;
+    counters.cycles += cycles;
+    cycles
 }
 
 /// Executes a block body's micro-ops against a local register file,
@@ -1550,37 +1371,30 @@ mod tests {
         assert_eq!(ca.branches_taken, cb.branches_taken, "{what}");
     }
 
-    /// Asserts that `run_blocks(budget)`, `run_superblocks(budget)`, and
-    /// a `run_block(budget)` step loop over the same program leave
-    /// bit-identical machines and return bit-identical stats.
+    /// Asserts that `run_blocks(budget)` and a `run_block(budget)` step
+    /// loop over the same program leave bit-identical machines and
+    /// return bit-identical stats.
     fn assert_block_equivalence(src: &str, budgets: &[u64]) {
         let p = assemble(src).expect("assembles");
         for &budget in budgets {
             let mut by_step = Machine::new(&p).expect("loads");
             let mut by_block = Machine::new(&p).expect("loads");
-            let mut by_super = Machine::new(&p).expect("loads");
-            let a = by_step.run_block(budget);
-            let b = by_block.run_blocks(budget);
-            let c = by_super.run_superblocks(budget);
-            for (name, r) in [("block", &b), ("superblock", &c)] {
-                match (&a, r) {
-                    (Ok(sa), Ok(sb)) => {
-                        assert_eq!(sa.executed, sb.executed, "{name}, budget {budget}");
-                        assert_eq!(sa.cycles, sb.cycles, "{name}, budget {budget}");
-                        assert_eq!(
-                            sa.energy_j.to_bits(),
-                            sb.energy_j.to_bits(),
-                            "stats energy, {name}, budget {budget}"
-                        );
-                        assert_eq!(sa.halted, sb.halted, "{name}, budget {budget}");
-                        assert_eq!(sa.checkpoint, sb.checkpoint, "{name}, budget {budget}");
-                    }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{name}, budget {budget}"),
-                    (a, b) => panic!("budget {budget}: step {a:?} vs {name} {b:?}"),
+            match (by_step.run_block(budget), by_block.run_blocks(budget)) {
+                (Ok(sa), Ok(sb)) => {
+                    assert_eq!(sa.executed, sb.executed, "budget {budget}");
+                    assert_eq!(sa.cycles, sb.cycles, "budget {budget}");
+                    assert_eq!(
+                        sa.energy_j.to_bits(),
+                        sb.energy_j.to_bits(),
+                        "stats energy, budget {budget}"
+                    );
+                    assert_eq!(sa.halted, sb.halted, "budget {budget}");
+                    assert_eq!(sa.checkpoint, sb.checkpoint, "budget {budget}");
                 }
+                (Err(ea), Err(eb)) => assert_eq!(ea, eb, "budget {budget}"),
+                (a, b) => panic!("budget {budget}: step {a:?} vs block {b:?}"),
             }
-            assert_machines_match(&by_step, &by_block, &format!("block, budget {budget}"));
-            assert_machines_match(&by_step, &by_super, &format!("superblock, budget {budget}"));
+            assert_machines_match(&by_step, &by_block, &format!("budget {budget}"));
         }
     }
 
@@ -1618,8 +1432,8 @@ mod tests {
 
     #[test]
     fn blocks_handle_mid_block_entry() {
-        // Restore to a non-leader address: the engine must fall back to
-        // stepping until it reaches a leader.
+        // Restore to a non-leader address: the engine must resume in
+        // the middle of the block.
         let p = assemble("li r1, 1\nli r2, 2\nli r3, 3\nli r4, 4\nhalt").unwrap();
         let mut by_step = Machine::new(&p).unwrap();
         let mut by_block = Machine::new(&p).unwrap();
@@ -1656,72 +1470,31 @@ mod tests {
         assert_eq!(m.block_count(), 3);
     }
 
-    /// A loop whose body spans three basic blocks, steered by input
-    /// port 0: input 1 takes the `addi r3` arm, input 0 the `addi r4`
-    /// arm. Six instructions per iteration either way.
-    const CHAIN_SRC: &str = "
-        li r1, 6000
-    loop:
-        in r2, 0
-        beqz r2, skip
-        addi r3, r3, 1
-        beq r0, r0, join
-    skip:
-        addi r4, r4, 1
-    join:
-        addi r1, r1, -1
-        bnez r1, loop
-        halt
-    ";
-
     #[test]
-    fn superblocks_form_chains_and_side_exit_exactly() {
-        let p = assemble(CHAIN_SRC).unwrap();
+    fn cycle_cap_smaller_than_a_block_runs_a_prefix_and_resumes() {
+        // One 5-instruction block of 1-cycle ALU ops ending in `halt`.
+        let p = assemble("li r1, 1\nli r2, 2\nli r3, 3\nli r4, 4\nhalt").unwrap();
+        let mut m = Machine::new(&p).unwrap();
+        let budget = CostBudget { insts: u64::MAX, cycles: 2, energy_j: f64::INFINITY };
+        let stats = m.run_bounded(budget).unwrap();
+        assert_eq!((stats.executed, stats.cycles, m.pc()), (2, 2, 2), "two 1-cycle ops fit");
+        let stats = m.run_bounded(CostBudget { cycles: 0, ..budget }).unwrap();
+        assert_eq!(stats.executed, 0, "nothing fits a zero cap");
+        m.run_bounded(CostBudget::insts(u64::MAX)).unwrap();
         let mut by_step = Machine::new(&p).unwrap();
-        let mut by_super = Machine::new(&p).unwrap();
-        by_step.set_input(0, 1);
-        by_super.set_input(0, 1);
-        by_step.run_block(6000).unwrap();
-        by_super.run_superblocks(6000).unwrap();
-        let stats = by_super.superblock_stats();
-        assert!(stats.chains_formed >= 1, "hot trace fused after warm-up: {stats:?}");
-        assert!(stats.chain_runs > 0, "{stats:?}");
-        assert!(stats.chained_blocks > 0, "{stats:?}");
-        assert_machines_match(&by_step, &by_super, "warm phase");
-        // Steer off the recorded trace: every remaining iteration must
-        // side-exit the chain and finish on the block tier, exactly.
-        by_step.set_input(0, 0);
-        by_super.set_input(0, 0);
         by_step.run_block(u64::MAX).unwrap();
-        by_super.run_superblocks(u64::MAX).unwrap();
-        assert!(by_super.superblock_stats().side_exits > 0, "off-trace input side-exits");
-        assert!(by_super.halted());
-        assert_machines_match(&by_step, &by_super, "after side exits");
+        assert_machines_match(&by_step, &m, "resumed mid-block");
     }
 
     #[test]
-    fn adopted_profile_survives_machine_rebuild() {
-        let p = assemble(CHAIN_SRC).unwrap();
-        let mut warm = Machine::new(&p).unwrap();
-        warm.set_input(0, 1);
-        warm.run_superblocks(u64::MAX).unwrap();
-        let warmed = warm.superblock_stats();
-        assert!(warmed.chains_formed >= 1);
-        // Power-failure rebuild: fresh state, same image, learned chains
-        // carried over instead of re-warming.
-        let image = Arc::clone(warm.image());
-        let mut rebuilt = Machine::from_image(&image);
-        rebuilt.adopt_profile_from(&mut warm);
-        assert_eq!(rebuilt.superblock_stats(), warmed);
-        rebuilt.set_input(0, 1);
+    fn energy_cap_stops_before_the_first_op_that_does_not_fit() {
+        let p = assemble("li r1, 1\nli r2, 2\nli r3, 3\nhalt").unwrap();
         let mut by_step = Machine::new(&p).unwrap();
-        by_step.set_input(0, 1);
-        by_step.run_block(u64::MAX).unwrap();
-        rebuilt.run_superblocks(u64::MAX).unwrap();
-        assert!(
-            rebuilt.superblock_stats().chain_runs > warmed.chain_runs,
-            "chains reused immediately, not re-warmed"
-        );
-        assert_machines_match(&by_step, &rebuilt, "rebuilt machine");
+        let one = by_step.step().unwrap().energy_j;
+        let mut m = Machine::new(&p).unwrap();
+        let budget = CostBudget { insts: u64::MAX, cycles: u64::MAX, energy_j: one * 1.5 };
+        let stats = m.run_bounded(budget).unwrap();
+        assert_eq!(stats.executed, 1);
+        assert_machines_match(&by_step, &m, "one op within the energy cap");
     }
 }

@@ -1,15 +1,15 @@
 //! Seeded grammar-based NV16 program fuzzer.
 //!
 //! Generates random-but-structured assembly programs for differential
-//! testing of the simulator's execution tiers (step / block /
-//! superblock / lane). The grammar is chosen to exercise exactly the
-//! control shapes those tiers specialize on:
+//! testing of the simulator's execution tiers (step / block / lane).
+//! The grammar is chosen to exercise exactly the control shapes those
+//! tiers specialize on:
 //!
 //! * straight-line ALU bursts (block fusion),
 //! * bounded down-counter loops, including tight self-loops (streak
-//!   batching) and multi-block bodies (superblock chaining),
+//!   batching) and multi-block bodies (block-to-block dispatch),
 //! * forward branch diamonds whose direction depends on fuzzed register
-//!   data (side exits, lane divergence),
+//!   data (lane divergence),
 //! * `call`/`ret` subroutines (`jal`/`jalr` dispatch),
 //! * loads and stores confined to a window the program also sizes
 //!   (or, in [`FuzzClass::Wild`] mode, occasionally far outside it, to
@@ -109,8 +109,7 @@ fn emit_div(out: &mut String, rng: &mut StdRng) {
 }
 
 /// Emits a bounded down-counter loop. Tight single-block bodies hit
-/// streak batching; bodies with an inner branch span blocks and feed
-/// superblock chains.
+/// streak batching; bodies with an inner branch span blocks.
 fn emit_loop(out: &mut String, rng: &mut StdRng, label: &str) {
     let trips = 2 + rng.next_u32() % 24;
     let counter = format!("r{}", 8 + rng.next_u32() % 3);
@@ -118,7 +117,7 @@ fn emit_loop(out: &mut String, rng: &mut StdRng, label: &str) {
     emit_alu_burst(out, rng);
     if rng.next_u32().is_multiple_of(3) {
         // A data-dependent skip inside the body splits it into two
-        // blocks, so the loop exercises chain formation, not batching.
+        // blocks, so the loop exercises block dispatch, not batching.
         let (a, skip) = (data_reg(rng), format!("{label}_skip"));
         out.push_str(&format!("    bnez {a}, {skip}\n"));
         emit_alu_burst(out, rng);

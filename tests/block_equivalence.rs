@@ -1,17 +1,18 @@
 //! Execution-tier equivalence over every registry workload kernel.
 //!
-//! All four execution tiers must be observationally identical: per
+//! All execution tiers must be observationally identical: per
 //! instruction `step()` dispatch, the fused basic-block engine
-//! (`Machine::run_blocks`), the profile-directed superblock tier
-//! (`Machine::run_superblocks`), and the SoA lane engine
-//! ([`LaneMachine`]) — same final registers, same memory digest, same
-//! retired-instruction count, and bit-identical energy
-//! (`f64::to_bits` — fused execution must preserve the exact
-//! per-instruction f64 accumulation order). Checked both for one
-//! uninterrupted run and under randomized chunked budgets, which
-//! exercises mid-block budget exhaustion, checkpoint early-returns,
-//! re-entry at non-leader program counters, superblock side exits, and
-//! the lane tier's scalar fallback.
+//! (`Machine::run_blocks`, and its cost-bounded form
+//! `Machine::run_bounded`), and the SoA lane engine ([`LaneMachine`]) —
+//! same final registers, same memory digest, same retired-instruction
+//! count, and bit-identical energy (`f64::to_bits` — fused execution
+//! must preserve the exact per-instruction f64 accumulation order).
+//! Checked for one uninterrupted run, under randomized chunked
+//! instruction budgets (mid-block budget exhaustion, re-entry at
+//! non-leader program counters, the lane tier's scalar fallback), and
+//! under randomized cycle and energy caps with mid-block restores.
+
+mod support;
 
 use std::sync::Arc;
 
@@ -20,6 +21,7 @@ use rand::{RngCore, SeedableRng};
 
 use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
+use support::{assert_same_state, bounded_step, random_budget, WorstCosts};
 
 /// Per-kernel instruction budget: enough to finish the small frame or
 /// to sample deep into the steady-state loop of kernels that don't.
@@ -57,23 +59,10 @@ fn state_digest(m: &Machine) -> u64 {
     h
 }
 
-fn assert_same_state(step: &Machine, other: &Machine, ctx: &str) {
-    assert_eq!(step.snapshot(), other.snapshot(), "{ctx}: architectural state diverged");
-    assert_eq!(step.dmem(), other.dmem(), "{ctx}: data memory diverged");
-    assert_eq!(step.out_log(), other.out_log(), "{ctx}: output log diverged");
+/// [`assert_same_state`] plus the one-number state digest.
+fn assert_same(step: &Machine, other: &Machine, ctx: &str) {
+    assert_same_state(step, other, ctx);
     assert_eq!(state_digest(step), state_digest(other), "{ctx}: state digest diverged");
-    let (cs, cb) = (step.counters(), other.counters());
-    assert_eq!(cs.instructions, cb.instructions, "{ctx}: retired counts diverged");
-    assert_eq!(cs.cycles, cb.cycles, "{ctx}: cycle counts diverged");
-    assert_eq!(cs.class_counts, cb.class_counts, "{ctx}: class counts diverged");
-    assert_eq!(cs.branches_taken, cb.branches_taken, "{ctx}: branch counts diverged");
-    assert_eq!(
-        cs.energy_j.to_bits(),
-        cb.energy_j.to_bits(),
-        "{ctx}: energy not bit-identical ({} vs {})",
-        cs.energy_j,
-        cb.energy_j
-    );
 }
 
 /// Advances `m` with `run_blocks` until it has retired `target`
@@ -84,17 +73,6 @@ fn blocks_to_target(m: &mut Machine, target: u64) {
     while m.counters().instructions < target && !m.halted() {
         let remaining = target - m.counters().instructions;
         let stats = m.run_blocks(remaining).expect("kernel does not fault");
-        if stats.executed == 0 && !stats.checkpoint {
-            break;
-        }
-    }
-}
-
-/// Same, through the profile-directed superblock tier.
-fn superblocks_to_target(m: &mut Machine, target: u64) {
-    while m.counters().instructions < target && !m.halted() {
-        let remaining = target - m.counters().instructions;
-        let stats = m.run_superblocks(remaining).expect("kernel does not fault");
         if stats.executed == 0 && !stats.checkpoint {
             break;
         }
@@ -120,40 +98,36 @@ fn lanes_to_target(lm: &mut LaneMachine, target: u64) {
     }
 }
 
-/// The shared decoded image the block, superblock, and lane tiers all
-/// execute from.
-fn image_for(kind: KernelKind, frame: &GrayImage) -> Arc<MachineImage> {
+/// The shared decoded image the block and lane tiers execute from,
+/// plus the program's per-instruction worst-case costs.
+fn image_for(kind: KernelKind, frame: &GrayImage) -> (Arc<MachineImage>, WorstCosts) {
     let inst = kind.build(frame).expect("kernel builds");
-    Arc::new(
-        MachineImage::build(
-            inst.program(),
-            inst.min_dmem_words(),
-            CycleModel::default(),
-            EnergyModel::default(),
-        )
-        .expect("image builds"),
+    let image = MachineImage::build(
+        inst.program(),
+        inst.min_dmem_words(),
+        CycleModel::default(),
+        EnergyModel::default(),
     )
+    .expect("image builds");
+    (Arc::new(image), WorstCosts::of(inst.program()))
 }
 
 #[test]
 fn all_kernels_match_step_mode_exactly() {
     let frame = GrayImage::synthetic(7, 16, 16);
     for kind in KernelKind::ALL {
-        let image = image_for(kind, &frame);
+        let (image, _) = image_for(kind, &frame);
         let mut by_step = Machine::from_image(&image);
         let mut by_block = Machine::from_image(&image);
-        let mut by_super = Machine::from_image(&image);
         let mut by_lanes = LaneMachine::new(&image, 4);
         steps_to_target(&mut by_step, BUDGET);
         blocks_to_target(&mut by_block, BUDGET);
-        superblocks_to_target(&mut by_super, BUDGET);
         lanes_to_target(&mut by_lanes, BUDGET);
-        assert_same_state(&by_step, &by_block, &format!("{kind:?} full run, block tier"));
-        assert_same_state(&by_step, &by_super, &format!("{kind:?} full run, superblock tier"));
+        assert_same(&by_step, &by_block, &format!("{kind:?} full run, block tier"));
         for lane in 0..by_lanes.width() {
             assert!(by_lanes.lane_error(lane).is_none(), "{kind:?} lane {lane} faulted");
             let m = by_lanes.extract(lane);
-            assert_same_state(&by_step, &m, &format!("{kind:?} full run, lane {lane}"));
+            assert_same(&by_step, &m, &format!("{kind:?} full run, lane {lane}"));
         }
     }
 }
@@ -163,26 +137,57 @@ fn all_kernels_match_step_mode_under_chunked_budgets() {
     let frame = GrayImage::synthetic(7, 16, 16);
     let mut rng = StdRng::seed_from_u64(0x5eed_b10c);
     for kind in KernelKind::ALL {
-        let image = image_for(kind, &frame);
+        let (image, _) = image_for(kind, &frame);
         let mut by_step = Machine::from_image(&image);
         let mut by_block = Machine::from_image(&image);
-        let mut by_super = Machine::from_image(&image);
         let mut by_lanes = LaneMachine::new(&image, 2);
         let mut target = 0u64;
-        // Ragged chunks land budget boundaries mid-block, so the fused
-        // tiers must fall back to single steps and later re-enter at
+        // Ragged chunks land budget boundaries mid-block, so the block
+        // engine must stop after a body prefix and later re-enter at
         // non-leader pcs (and the lane tier must take its scalar
         // fallback) — compare after every chunk, not just at the end.
         for round in 0..64 {
             target += 1 + u64::from(rng.next_u32() % 97);
             steps_to_target(&mut by_step, target);
             blocks_to_target(&mut by_block, target);
-            superblocks_to_target(&mut by_super, target);
             lanes_to_target(&mut by_lanes, target);
-            assert_same_state(&by_step, &by_block, &format!("{kind:?} chunk {round}, block"));
-            assert_same_state(&by_step, &by_super, &format!("{kind:?} chunk {round}, superblock"));
+            assert_same(&by_step, &by_block, &format!("{kind:?} chunk {round}, block"));
             let lane0 = by_lanes.extract(0);
-            assert_same_state(&by_step, &lane0, &format!("{kind:?} chunk {round}, lane 0"));
+            assert_same(&by_step, &lane0, &format!("{kind:?} chunk {round}, lane 0"));
+            if by_step.halted() {
+                break;
+            }
+        }
+    }
+}
+
+#[test]
+fn all_kernels_match_step_mode_under_cost_budgets() {
+    let frame = GrayImage::synthetic(7, 16, 16);
+    let mut rng = StdRng::seed_from_u64(0x5eed_c057);
+    for kind in KernelKind::ALL {
+        let (image, costs) = image_for(kind, &frame);
+        let mut by_step = Machine::from_image(&image);
+        let mut by_bounded = Machine::from_image(&image);
+        let mut saved = None;
+        // Random cycle/energy/instruction caps, often smaller than one
+        // block, so runs stop inside block bodies and resume there; a
+        // power-failure-style rollback to an earlier snapshot now and
+        // then re-enters at whatever (usually non-leader) pc it saved.
+        for round in 0..400 {
+            let ctx = format!("{kind:?} round {round}");
+            bounded_step(&mut by_bounded, &mut by_step, &costs, random_budget(&mut rng), &ctx)
+                .expect("kernel does not fault");
+            match rng.next_u32() % 16 {
+                0 => saved = Some(by_step.snapshot()),
+                1 => {
+                    if let Some(state) = saved {
+                        by_step.restore(&state);
+                        by_bounded.restore(&state);
+                    }
+                }
+                _ => {}
+            }
             if by_step.halted() {
                 break;
             }

@@ -4,18 +4,26 @@
 //! programs shaped to stress exactly what the fused tiers specialize
 //! on — loops, branch diamonds, subroutines, divide-by-zero, memory
 //! traffic — and every program must execute identically under
-//! per-instruction `step()`, the block tier, the superblock tier, and
-//! the SoA lane tier. Lanes are driven with *distinct* input-port
-//! values so branch directions genuinely diverge across the group and
-//! the peel paths run, and each lane is checked against a scalar
-//! machine given the same input. Wild-mode programs may fault; every
-//! tier must then report the identical error with identical prior
-//! state.
+//! per-instruction `step()`, the block tier (instruction-capped and
+//! cost-bounded), and the SoA lane tier. Lanes are driven with
+//! *distinct* input-port values so branch directions genuinely diverge
+//! across the group and the peel paths run, and each lane is checked
+//! against a scalar machine given the same input. The cost-bounded
+//! runs draw random cycle and energy caps, also on a variant with
+//! `ckpt` hints sprinkled through the program. Wild-mode programs may
+//! fault; every tier must then report the identical error with
+//! identical prior state.
+
+mod support;
 
 use std::sync::Arc;
 
+use nvp_isa::asm::assemble;
 use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage, SimError};
 use nvp_workloads::fuzz::{generate, FuzzClass, FuzzedProgram};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use support::{assert_same_state, bounded_step, random_budget, WorstCosts};
 
 /// Ample headroom over the fuzzer's bounded loops.
 const BUDGET: u64 = 200_000;
@@ -27,15 +35,10 @@ const PROGRAMS_PER_FAMILY: u64 = 12;
 /// Lane width used for the divergence runs.
 const WIDTH: usize = 4;
 
-fn image_of(f: &FuzzedProgram) -> Arc<MachineImage> {
+fn image_of(program: &nvp_isa::Program, dmem_words: usize) -> Arc<MachineImage> {
     Arc::new(
-        MachineImage::build(
-            &f.program,
-            f.dmem_words,
-            CycleModel::default(),
-            EnergyModel::default(),
-        )
-        .expect("fuzzed image builds"),
+        MachineImage::build(program, dmem_words, CycleModel::default(), EnergyModel::default())
+            .expect("fuzzed image builds"),
     )
 }
 
@@ -55,25 +58,9 @@ fn drive(
     }
 }
 
-fn assert_same(a: &Machine, b: &Machine, ctx: &str, src: &str) {
-    assert_eq!(a.snapshot(), b.snapshot(), "{ctx}: state diverged\n{src}");
-    assert_eq!(a.dmem(), b.dmem(), "{ctx}: memory diverged\n{src}");
-    assert_eq!(a.out_log(), b.out_log(), "{ctx}: output log diverged\n{src}");
-    let (ca, cb) = (a.counters(), b.counters());
-    assert_eq!(ca.instructions, cb.instructions, "{ctx}: retired counts diverged\n{src}");
-    assert_eq!(ca.cycles, cb.cycles, "{ctx}: cycles diverged\n{src}");
-    assert_eq!(ca.class_counts, cb.class_counts, "{ctx}: class counts diverged\n{src}");
-    assert_eq!(ca.branches_taken, cb.branches_taken, "{ctx}: branch counts diverged\n{src}");
-    assert_eq!(
-        ca.energy_j.to_bits(),
-        cb.energy_j.to_bits(),
-        "{ctx}: energy not bit-identical\n{src}"
-    );
-}
-
-/// Exercises one fuzzed program across all four tiers.
-fn check_program(f: &FuzzedProgram, tag: &str) {
-    let image = image_of(f);
+/// Exercises one fuzzed program across every tier.
+fn check_program(f: &FuzzedProgram, seed: u64, tag: &str) {
+    let image = image_of(&f.program, f.dmem_words);
     // Distinct port-0 inputs per lane: the fuzzed `in r7, 0` read makes
     // downstream branch directions lane-dependent.
     let inputs: [u16; WIDTH] = [0x0000, 0x0001, 0x7FFF, 0xFFFE];
@@ -87,19 +74,34 @@ fn check_program(f: &FuzzedProgram, tag: &str) {
         refs.push((m, err));
     }
 
-    // Block and superblock tiers against the same inputs.
-    for (name, fused) in [("block", false), ("superblock", true)] {
-        for (i, &input) in inputs.iter().enumerate() {
-            let mut m = Machine::from_image(&image);
-            m.set_input(0, input);
-            let err = drive(&mut m, |m| {
-                let stats = if fused { m.run_superblocks(BUDGET)? } else { m.run_blocks(BUDGET)? };
-                Ok(stats.halted)
-            });
-            let (reference, ref_err) = &refs[i];
-            assert_eq!(&err, ref_err, "{tag}: {name} fault disposition, input {input:#x}");
-            assert_same(reference, &m, &format!("{tag}: {name} tier, input {input:#x}"), &f.source);
-        }
+    // Block tier against the same inputs.
+    for (i, &input) in inputs.iter().enumerate() {
+        let mut m = Machine::from_image(&image);
+        m.set_input(0, input);
+        let err = drive(&mut m, |m| Ok(m.run_blocks(BUDGET)?.halted));
+        let (reference, ref_err) = &refs[i];
+        let ctx = format!("{tag}: block tier, input {input:#x}\n{}", f.source);
+        assert_eq!(&err, ref_err, "{ctx}: fault disposition");
+        assert_same_state(reference, &m, &ctx);
+    }
+
+    // Cost-bounded block tier under random caps: once on the program
+    // as generated (ending where the step reference ends), once with
+    // `ckpt` hints inside its blocks.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC057_B0D6);
+    for (i, &input) in inputs.iter().enumerate() {
+        let ctx = format!("{tag}: bounded tier, input {input:#x}\n{}", f.source);
+        let (m, err) =
+            run_bounded_to_end(&image, &WorstCosts::of(&f.program), input, &mut rng, &ctx);
+        let (reference, ref_err) = &refs[i];
+        assert_eq!(&err, ref_err, "{ctx}: fault disposition");
+        assert_same_state(reference, &m, &ctx);
+
+        let hinted = with_ckpts(&f.source, &mut rng);
+        let program = assemble(&hinted).expect("hinted program assembles");
+        let ctx = format!("{tag}: bounded tier with ckpt hints, input {input:#x}\n{hinted}");
+        let image = image_of(&program, f.dmem_words);
+        run_bounded_to_end(&image, &WorstCosts::of(&program), input, &mut rng, &ctx);
     }
 
     // Lane tier: all four inputs in one group.
@@ -121,8 +123,48 @@ fn check_program(f: &FuzzedProgram, tag: &str) {
             f.source
         );
         let m = lm.extract(lane);
-        assert_same(reference, &m, &format!("{tag}: lane {lane}"), &f.source);
+        assert_same_state(reference, &m, &format!("{tag}: lane {lane}\n{}", f.source));
     }
+}
+
+/// Drives a fresh machine to halt or fault through
+/// [`bounded_step`] under random budgets, checking every call against
+/// a lockstep step-mode twin. Returns the engine machine and its fault.
+fn run_bounded_to_end(
+    image: &Arc<MachineImage>,
+    costs: &WorstCosts,
+    input: u16,
+    rng: &mut StdRng,
+    ctx: &str,
+) -> (Machine, Option<SimError>) {
+    let mut engine = Machine::from_image(image);
+    let mut reference = Machine::from_image(image);
+    engine.set_input(0, input);
+    reference.set_input(0, input);
+    for call in 0.. {
+        let ctx = format!("{ctx}\ncall {call}");
+        match bounded_step(&mut engine, &mut reference, costs, random_budget(rng), &ctx) {
+            Err(e) => return (engine, Some(e)),
+            Ok(_) if engine.halted() => return (engine, None),
+            Ok(_) => assert!(engine.counters().instructions < BUDGET, "{ctx}: exceeded budget"),
+        }
+    }
+    unreachable!("the loop only exits by returning")
+}
+
+/// Inserts a `ckpt` before roughly one in five instructions of an
+/// assembly source (lines indented as instructions), so checkpoint
+/// stops land inside block bodies and cost-capped prefixes.
+fn with_ckpts(source: &str, rng: &mut StdRng) -> String {
+    let mut out = String::with_capacity(source.len() * 2);
+    for line in source.lines() {
+        if line.starts_with("    ") && rng.next_u32().is_multiple_of(5) {
+            out.push_str("    ckpt\n");
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
 }
 
 #[test]
@@ -130,7 +172,7 @@ fn fuzzed_programs_agree_across_all_tiers() {
     for family in SEED_FAMILIES {
         for i in 0..PROGRAMS_PER_FAMILY {
             let f = generate(family + i, FuzzClass::Safe);
-            check_program(&f, &format!("safe seed {:#x}", family + i));
+            check_program(&f, family + i, &format!("safe seed {:#x}", family + i));
         }
     }
 }
@@ -140,7 +182,7 @@ fn fuzzed_faulting_programs_agree_across_all_tiers() {
     for family in SEED_FAMILIES {
         for i in 0..PROGRAMS_PER_FAMILY {
             let f = generate(family + i, FuzzClass::Wild);
-            check_program(&f, &format!("wild seed {:#x}", family + i));
+            check_program(&f, family + i, &format!("wild seed {:#x}", family + i));
         }
     }
 }
