@@ -1,9 +1,8 @@
 //! Execution-tier benchmark (`cargo bench --bench blocks`).
 //!
 //! Compares the execution tiers — `Machine::run` (per-instruction
-//! dispatch), `Machine::run_blocks` (fused basic blocks), and the SoA
-//! `LaneMachine` (same-program lane groups) — on the tight ALU loop and
-//! the Sobel kernel, plus the production shape of the block tier:
+//! dispatch) and `Machine::run_blocks` (fused basic blocks) — on the
+//! tight ALU loop and the Sobel kernel, plus the production shape of the block tier:
 //! Sobel through `Machine::run_bounded` under 100-cycle caps, one call
 //! per 100 µs tick at 1 MHz. Cross-checks that every tier retires the
 //! same instruction count, identical architectural state, and
@@ -18,11 +17,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nvp_isa::asm::assemble;
-use nvp_sim::{CostBudget, CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CostBudget, CycleModel, EnergyModel, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
-
-/// Lane width used for the lane-tier throughput measurement.
-const LANE_WIDTH: usize = 64;
 
 /// Cycles in one 100 µs trace tick at the default 1 MHz clock: the cap
 /// a powered tick hands the block engine in production.
@@ -70,24 +66,6 @@ fn tick(m: &mut Machine, n: u64) -> u64 {
     stats.executed
 }
 
-/// Best-of-`reps` *effective* throughput of a lane group running the
-/// image to completion: total instructions retired across every lane,
-/// divided by wall time.
-fn lane_rate(image: &Arc<MachineImage>, width: usize, reps: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..reps {
-        let mut lm = LaneMachine::new(image, width);
-        let t0 = Instant::now();
-        while !lm.all_done() {
-            lm.run(1_000_000);
-        }
-        black_box(&lm);
-        let total: u64 = (0..width).map(|l| lm.lane_counters(l).instructions).sum();
-        best = best.max(total as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Runs every tier to completion on small budgets and compares final
 /// state — a correctness canary inside the bench binary.
 fn crosscheck(program: &nvp_isa::Program, budget: u64) {
@@ -98,19 +76,13 @@ fn crosscheck(program: &nvp_isa::Program, budget: u64) {
     let mut by_step = Machine::from_image(&image);
     let mut by_block = Machine::from_image(&image);
     let mut by_tick = Machine::from_image(&image);
-    let mut by_lanes = LaneMachine::new(&image, 4);
     by_step.run(budget).expect("step run");
     by_block.run_blocks(budget).expect("block run");
     while by_tick.counters().instructions < budget && !by_tick.halted() {
         let remaining = budget - by_tick.counters().instructions;
         tick(&mut by_tick, remaining);
     }
-    while by_lanes.lane_counters(0).instructions < budget && !by_lanes.all_done() {
-        by_lanes.run(budget - by_lanes.lane_counters(0).instructions);
-    }
-    for (name, other) in
-        [("block", &by_block), ("tick-capped block", &by_tick), ("lane", &by_lanes.extract(0))]
-    {
+    for (name, other) in [("block", &by_block), ("tick-capped block", &by_tick)] {
         assert_eq!(by_step.snapshot(), other.snapshot(), "{name}: architectural state diverged");
         assert_eq!(
             by_step.counters().instructions,
@@ -156,16 +128,13 @@ fn main() {
 
     let tight_step = rate(|| Machine::from_image(&tight_image), step_run, insts, reps);
     let tight_block = rate(|| Machine::from_image(&tight_image), block_run, insts, reps);
-    let tight_lanes = lane_rate(&tight_image, LANE_WIDTH, reps);
     let sobel_step = rate(|| Machine::from_image(&sobel_image), step_run, insts, reps);
     let sobel_block = rate(|| Machine::from_image(&sobel_image), block_run, insts, reps);
     let sobel_tick = rate(|| Machine::from_image(&sobel_image), tick, insts, reps);
 
     println!("bench blocks/tight_loop_step_per_sec   {tight_step:>14.0}");
     println!("bench blocks/tight_loop_block_per_sec  {tight_block:>14.0}");
-    println!("bench blocks/tight_loop_lane_per_sec   {tight_lanes:>14.0} ({LANE_WIDTH} lanes)");
     println!("bench blocks/tight_loop_speedup        {:>14.2} x", tight_block / tight_step);
-    println!("bench blocks/tight_loop_lane_speedup   {:>14.2} x", tight_lanes / tight_block);
     println!("bench blocks/sobel_step_per_sec        {sobel_step:>14.0}");
     println!("bench blocks/sobel_block_per_sec       {sobel_block:>14.0}");
     println!(

@@ -6,7 +6,7 @@
 //! (override the location with `NVP_BENCH_RUNNER_JSON`). The checked-in
 //! copy is the baseline; rerun after perf-sensitive changes and compare.
 //!
-//! Measured quantities (schema `nvp-bench-runner/5`):
+//! Measured quantities (schema `nvp-bench-runner/6`):
 //!
 //! * `run_all_quick.parallel_s` / `sequential_s` — best-of-3 wall time
 //!   of `run_all(ExpConfig::quick())` on the work-stealing scheduler
@@ -26,12 +26,11 @@
 //!   directory re-opened) whose run is served entirely from disk.
 //! * `f12_campaign` — best-of-3 cold wall time of the F12 Monte-Carlo
 //!   fault campaign alone (`run_only(["f12"])`, cache reset per rep),
-//!   the workload the lane-group dispatch and shared program image
-//!   target, with the lane-group counters from one run.
-//! * `simulator.*_steps_per_sec` — `Machine::step` / `run_blocks` /
-//!   `LaneMachine` throughput on a branchy ALU loop and the Sobel kernel
-//!   (lane throughput is effective: total instructions across all lanes
-//!   per second), plus `sobel_tick_cap_steps_per_sec`: Sobel through
+//!   the scheduler's finest-grained fan-out over one shared program
+//!   image.
+//! * `simulator.*_steps_per_sec` — `Machine::step` / `run_blocks`
+//!   throughput on a branchy ALU loop and the Sobel kernel, plus
+//!   `sobel_tick_cap_steps_per_sec`: Sobel through
 //!   `run_bounded` under 100-cycle caps with the straddling instruction
 //!   stepped, the shape of one powered 100 µs tick at 1 MHz.
 //!
@@ -43,7 +42,6 @@
 use std::fs;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use nvp_experiments::{
@@ -51,13 +49,10 @@ use nvp_experiments::{
     set_thread_override, thread_count, ExpConfig,
 };
 use nvp_isa::asm::assemble;
-use nvp_sim::{CostBudget, CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CostBudget, Machine};
 use nvp_workloads::{GrayImage, KernelKind};
 
 const REPS: usize = 3;
-
-/// Lane width for the lane-tier throughput measurement.
-const LANE_WIDTH: usize = 64;
 
 /// Cycles in one 100 µs trace tick at the default 1 MHz clock.
 const TICK_CYCLES: u64 = 100;
@@ -208,45 +203,20 @@ fn main() {
     let disk_speedup = disk_cold_s / disk_warm_s;
 
     // F12 campaign alone, cold, best-of-REPS: the Monte-Carlo fault
-    // sweep is what the lane-group dispatch and shared image target.
+    // sweep, one scheduler task per trial over one shared image.
     let run_f12 =
         |c: &ExpConfig, d: &std::path::Path| run_only(c, d, &["f12"]).map(|a| drop(black_box(a)));
     let mut f12_cold_s = f64::INFINITY;
     for _ in 0..REPS {
         f12_cold_s = f12_cold_s.min(time_one(run_f12));
     }
-    let (f12_lane_groups, f12_lane_group_items) = {
-        reset_sim_cache();
-        let dir = unique_dir("nvp_bench_f12");
-        let artifacts = run_only(&cfg, &dir, &["f12"]).expect("f12 run succeeds");
-        let _ = fs::remove_dir_all(&dir);
-        (artifacts.exec.lane_groups, artifacts.exec.lane_group_items)
-    };
 
     let tight = assemble("start: addi r1, r1, 1\n xor r2, r2, r1\n bne r1, r0, start\n halt")
         .expect("tight loop assembles");
     let step_run = |m: &mut Machine, n: u64| m.run(n).expect("program runs");
     let block_run = |m: &mut Machine, n: u64| m.run_blocks(n).expect("program runs").executed;
-    let tight_image = Arc::new(
-        MachineImage::build(&tight, 64, CycleModel::default(), EnergyModel::default())
-            .expect("tight image builds"),
-    );
     let tight_rate = steps_per_sec(|| Machine::new(&tight).expect("loads"), step_run, 2_000_000);
     let block_rate = steps_per_sec(|| Machine::new(&tight).expect("loads"), block_run, 2_000_000);
-    let lane_rate = {
-        let mut best = 0.0f64;
-        for _ in 0..REPS {
-            let mut lm = LaneMachine::new(&tight_image, LANE_WIDTH);
-            let t0 = Instant::now();
-            while !lm.all_done() {
-                lm.run(1_000_000);
-            }
-            black_box(&lm);
-            let total: u64 = (0..LANE_WIDTH).map(|l| lm.lane_counters(l).instructions).sum();
-            best = best.max(total as f64 / t0.elapsed().as_secs_f64());
-        }
-        best
-    };
 
     let frame = GrayImage::synthetic(7, 32, 32);
     let sobel = KernelKind::Sobel.build(&frame).expect("sobel builds");
@@ -267,10 +237,9 @@ fn main() {
     println!("bench runner/sim_cache_disk_cold         {disk_cold_s:>12.4} s ({disk_persisted} records persisted)");
     println!("bench runner/sim_cache_disk_warm         {disk_warm_s:>12.4} s ({disk_reloaded} reloaded, {disk_hits} disk hits)");
     println!("bench runner/sim_cache_disk_speedup      {disk_speedup:>12.2} x");
-    println!("bench runner/f12_campaign_cold           {f12_cold_s:>12.4} s (best of {REPS}, {f12_lane_groups} lane groups / {f12_lane_group_items} trials)");
+    println!("bench runner/f12_campaign_cold           {f12_cold_s:>12.4} s (best of {REPS})");
     println!("bench runner/tight_loop_steps_per_sec    {tight_rate:>12.0}");
     println!("bench runner/block_steps_per_sec         {block_rate:>12.0}");
-    println!("bench runner/lane_steps_per_sec          {lane_rate:>12.0} ({LANE_WIDTH} lanes)");
     println!("bench runner/sobel_steps_per_sec         {sobel_rate:>12.0}");
     println!("bench runner/sobel_tick_cap_steps_per_sec {sobel_tick_rate:>11.0} ({TICK_CYCLES}-cycle caps)");
 
@@ -283,12 +252,11 @@ fn main() {
                    simulation cache reset per repetition; *_threads is the worker count used \
                    for that measurement; sim_cache_disk times a cold persistent-store write \
                    and a fresh-process reload served entirely from disk; f12_campaign is the \
-                   cold Monte-Carlo fault sweep alone; lane_steps_per_sec is effective \
-                   (instructions across all lanes per second); sobel_tick_cap_steps_per_sec \
+                   cold Monte-Carlo fault sweep alone; sobel_tick_cap_steps_per_sec \
                    runs run_bounded under 100-cycle caps, one engine call plus one straddling \
                    step per tick";
     let json = format!(
-        "{{\n  \"schema\": \"nvp-bench-runner/5\",\n  \"comment\": \"{comment}\",\n  \
+        "{{\n  \"schema\": \"nvp-bench-runner/6\",\n  \"comment\": \"{comment}\",\n  \
          \"host_cores\": {cores},\n  \
          \"run_all_quick\": {{\n    \"parallel_s\": {parallel_s:.4},\n    \
          \"parallel_threads\": {parallel_threads},\n    \
@@ -304,13 +272,9 @@ fn main() {
          \"warm_reload_s\": {disk_warm_s:.4},\n    \"speedup\": {disk_speedup:.3},\n    \
          \"persisted\": {disk_persisted},\n    \"reloaded\": {disk_reloaded},\n    \
          \"disk_hits\": {disk_hits}\n  }},\n  \
-         \"f12_campaign\": {{\n    \"cold_s\": {f12_cold_s:.4},\n    \
-         \"lane_groups\": {f12_lane_groups},\n    \
-         \"lane_group_items\": {f12_lane_group_items}\n  }},\n  \
+         \"f12_campaign\": {{\n    \"cold_s\": {f12_cold_s:.4}\n  }},\n  \
          \"simulator\": {{\n    \"tight_loop_steps_per_sec\": {tight_rate:.0},\n    \
          \"block_steps_per_sec\": {block_rate:.0},\n    \
-         \"lane_steps_per_sec\": {lane_rate:.0},\n    \
-         \"lane_width\": {LANE_WIDTH},\n    \
          \"sobel_steps_per_sec\": {sobel_rate:.0},\n    \
          \"sobel_tick_cap_steps_per_sec\": {sobel_tick_rate:.0}\n  }}\n}}\n"
     );

@@ -15,15 +15,6 @@ use nvp_experiments::{
     client, feasibility, run_request, set_cache_dir, CachePolicy, CampaignRequest,
 };
 
-/// One-line execution-tier summary, printed alongside the sim-cache
-/// line by both the in-process and `--connect` paths.
-fn exec_summary(exec: &nvp_experiments::ExecStats) -> String {
-    format!(
-        "exec tiers: {} lane group(s) covering {} simulation(s)",
-        exec.lane_groups, exec.lane_group_items
-    )
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match cli::parse(&args) {
@@ -149,7 +140,6 @@ fn main() -> ExitCode {
                     outcome.result.cache.disk_hits,
                     outcome.result.cache.quarantined
                 );
-                eprintln!("{}", exec_summary(&outcome.result.exec));
                 eprintln!("wrote {} files to {}", files.len(), out_dir.display());
                 ExitCode::SUCCESS
             }
@@ -207,7 +197,6 @@ fn main() -> ExitCode {
                 result.cache.persisted,
                 result.cache.quarantined
             );
-            eprintln!("{}", exec_summary(&result.exec));
             eprintln!("wrote {} files to {}", files.len(), out_dir.display());
             ExitCode::SUCCESS
         }

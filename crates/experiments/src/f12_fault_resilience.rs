@@ -228,10 +228,8 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             }
         }
     }
-    // Monte-Carlo trials of the same kernel dispatch as lane groups:
-    // one scheduler task per group of consecutive trials, all sharing
-    // the hot image instead of travelling as independent tasks.
-    let results = sched::par_map_groups(&grid, sched::GROUP_WIDTH, |&(si, ri, trial)| {
+    // One scheduler task per Monte-Carlo trial, all sharing one image.
+    let results = sched::par_map(&grid, |&(si, ri, trial)| {
         let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
         run_trial(&image, &trace, &styles[si], plan)
     });

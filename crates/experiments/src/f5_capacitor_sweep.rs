@@ -32,14 +32,14 @@ pub struct Row {
 
 /// Sweeps storage size for both platforms on the first profile.
 /// Points are independent simulations of one shared kernel, so they
-/// dispatch as lane groups on the shared thread pool; result order
-/// follows [`CAPACITANCES_F`] regardless.
+/// run as tasks on the shared thread pool; result order follows
+/// [`CAPACITANCES_F`] regardless.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
     let cost = crate::common::task_cost(cfg, KernelKind::Sobel);
-    crate::sched::par_map_groups(&CAPACITANCES_F, crate::sched::GROUP_WIDTH / 2, |&c| {
+    crate::sched::par_map(&CAPACITANCES_F, |&c| {
         let sys: SystemConfig = system_config_for(&inst).with_capacitance(c);
         let nvp =
             run_nvp_with(&inst, &trace, sys, standard_backup(), nvp_core::BackupPolicy::demand());

@@ -32,8 +32,8 @@ pub struct Row {
 
 /// Runs the full technology × source grid. Every cell is an
 /// independent simulation of the same kernel, so the flattened grid
-/// dispatches as lane groups on the shared thread pool; row order
-/// stays technology-major.
+/// runs as tasks on the shared thread pool; row order stays
+/// technology-major.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
@@ -41,7 +41,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .into_iter()
         .flat_map(|tech| SourceKind::ALL.into_iter().map(move |source| (tech, source)))
         .collect();
-    crate::sched::par_map_groups(&grid, crate::sched::GROUP_WIDTH / 2, |&(tech, source)| {
+    crate::sched::par_map(&grid, |&(tech, source)| {
         // Both the backup path *and* the NVM data memory use `tech`.
         let sys = system_config_for_tech(&inst, tech);
         let backup = BackupModel::distributed(tech, STATE_BITS);

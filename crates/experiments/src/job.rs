@@ -19,7 +19,6 @@ use std::path::{Path, PathBuf};
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
 use crate::simcache::{sim_cache_stats, SimCacheStats};
-use crate::stats::{exec_stats, ExecStats};
 use crate::{f1_power_profiles, ExpConfig, Table};
 
 /// How a job may use the simulation cache.
@@ -124,9 +123,6 @@ pub struct CampaignResult {
     pub cache: SimCacheStats,
     /// Work-stealing scheduler counters for this job.
     pub sched: SchedStats,
-    /// Execution-tier counters for this job: lane-group dispatch
-    /// ([`ExecStats::since`] delta).
-    pub exec: ExecStats,
 }
 
 impl CampaignResult {
@@ -232,7 +228,6 @@ pub(crate) fn run_campaign(
 pub fn run_request(req: &CampaignRequest) -> io::Result<CampaignResult> {
     let cache_before = sim_cache_stats();
     let sched_before = sched_stats();
-    let exec_before = exec_stats();
     let selected = req.resolve()?;
     let cfg = req.effective_config();
     let seeds: &[u64] =
@@ -243,7 +238,6 @@ pub fn run_request(req: &CampaignRequest) -> io::Result<CampaignResult> {
         profiles,
         cache: sim_cache_stats().since(cache_before),
         sched: sched_stats().since(sched_before),
-        exec: exec_stats().since(exec_before),
     })
 }
 

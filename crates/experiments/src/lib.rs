@@ -50,7 +50,6 @@ mod report;
 mod runner;
 mod sched;
 mod simcache;
-mod stats;
 pub mod wire;
 
 pub mod f10_policy_sweep;
@@ -77,4 +76,3 @@ pub use report::Table;
 pub use runner::{run_all, run_all_sequential, run_only, RunArtifacts};
 pub use sched::{sched_stats, SchedStats};
 pub use simcache::{reset_sim_cache, set_cache_dir, sim_cache_stats, SimCacheStats};
-pub use stats::{exec_stats, ExecStats};

@@ -57,7 +57,7 @@
 //! file so the on-disk state heals while the quarantined file preserves
 //! the evidence. The counter flows through
 //! [`crate::SimCacheStats::quarantined`] into the `repro` cache summary
-//! and the `nvpd/4` wire stats.
+//! and the `nvpd` wire stats.
 
 use std::fs;
 use std::io::{self, Write as _};

@@ -20,7 +20,6 @@ use crate::job::{self, CampaignRequest, CampaignResult};
 use crate::registry::registry;
 use crate::sched::sched_stats;
 use crate::simcache::{sim_cache_stats, SimCacheStats};
-use crate::stats::{exec_stats, ExecStats};
 use crate::{f1_power_profiles, ExpConfig, Table};
 
 /// What a runner call produced.
@@ -33,15 +32,12 @@ pub struct RunArtifacts {
     /// Simulation-cache hits/misses during this runner call
     /// (experiments replaying an identical simulation skip it).
     pub cache: SimCacheStats,
-    /// Execution-tier counters during this runner call: lane-group
-    /// dispatch.
-    pub exec: ExecStats,
 }
 
 /// Executes `result`'s write phase and repackages it as [`RunArtifacts`].
 fn into_artifacts(result: CampaignResult, out_dir: &Path) -> io::Result<RunArtifacts> {
     let files = result.write(out_dir)?;
-    Ok(RunArtifacts { tables: result.tables, files, cache: result.cache, exec: result.exec })
+    Ok(RunArtifacts { tables: result.tables, files, cache: result.cache })
 }
 
 /// Regenerates the full evaluation and writes one CSV per table, one
@@ -69,7 +65,6 @@ pub fn run_all(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArtifacts> {
 pub fn run_all_sequential(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArtifacts> {
     let cache_before = sim_cache_stats();
     let sched_before = sched_stats();
-    let exec_before = exec_stats();
     let tables: Vec<Table> = registry().iter().map(|e| e.build(cfg)).collect();
     let profiles: Vec<(u64, String)> = cfg
         .profile_seeds
@@ -81,7 +76,6 @@ pub fn run_all_sequential(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArti
         profiles,
         cache: sim_cache_stats().since(cache_before),
         sched: sched_stats().since(sched_before),
-        exec: exec_stats().since(exec_before),
     };
     into_artifacts(result, out_dir)
 }

@@ -310,44 +310,6 @@ where
         .collect()
 }
 
-/// Default lane-group width for [`par_map_groups`]: the number of
-/// same-kernel work items one scheduler task carries. Sized so a group
-/// amortizes task overhead and shares its program image hot in cache
-/// without starving a small pool of parallelism.
-pub(crate) const GROUP_WIDTH: usize = 8;
-
-/// Maps `f` over `items` like [`par_map`], but dispatches *lane groups*
-/// of up to `width` consecutive items as single scheduler tasks instead
-/// of one task per item. Same-program work (Monte-Carlo trials, sweep
-/// points sharing a kernel) runs back-to-back on one worker, reusing
-/// the shared machine image while it is hot, and the scheduler moves
-/// whole groups when it steals. Results keep input order, so grouped
-/// and ungrouped dispatch are byte-identical.
-pub(crate) fn par_map_groups<T, R, F>(items: &[T], width: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let width = width.max(1);
-    if items.len() <= width {
-        if !items.is_empty() {
-            crate::stats::record_lane_group(items.len());
-        }
-        TASKS.fetch_add(items.len() as u64, Ordering::Relaxed);
-        return items.iter().map(&f).collect();
-    }
-    let groups: Vec<&[T]> = items.chunks(width).collect();
-    for g in &groups {
-        crate::stats::record_lane_group(g.len());
-    }
-    // Each group is one scheduler task; TASKS counts the items it
-    // carries (par_map adds the group count itself).
-    TASKS.fetch_add((items.len() - groups.len()) as u64, Ordering::Relaxed);
-    let nested = par_map(&groups, |group| group.iter().map(&f).collect::<Vec<R>>());
-    nested.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,35 +337,6 @@ mod tests {
     fn handles_empty_and_single() {
         assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[41], |&x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn grouped_dispatch_preserves_order_and_counts_groups() {
-        let _guard = override_lock();
-        set_thread_override(Some(4));
-        let items: Vec<u64> = (0..100).collect();
-        let before = crate::stats::exec_stats();
-        let out = par_map_groups(&items, 8, |&x| {
-            if x % 13 == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(150));
-            }
-            x * 3
-        });
-        let delta = crate::stats::exec_stats().since(before);
-        set_thread_override(None);
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        // Other tests may record groups concurrently, so the delta is a
-        // floor, not an exact count.
-        assert!(delta.lane_groups >= 100u64.div_ceil(8), "{delta:?}");
-        assert!(delta.lane_group_items >= 100, "{delta:?}");
-    }
-
-    #[test]
-    fn grouped_dispatch_handles_degenerate_widths() {
-        assert_eq!(par_map_groups(&[] as &[u32], 8, |&x| x), Vec::<u32>::new());
-        assert_eq!(par_map_groups(&[1u32, 2, 3], 0, |&x| x + 1), vec![2, 3, 4]);
-        let items: Vec<u32> = (0..5).collect();
-        assert_eq!(par_map_groups(&items, 64, |&x| x), items);
     }
 
     #[test]

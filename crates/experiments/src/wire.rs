@@ -30,7 +30,6 @@ use nvp_sim::crc32_bytes;
 use crate::job::{CachePolicy, CampaignRequest, CampaignResult};
 use crate::sched::SchedStats;
 use crate::simcache::{Sha256, SimCacheStats};
-use crate::stats::ExecStats;
 use crate::{ExpConfig, Table};
 
 /// Protocol schema tag carried inside every [`Message::Submit`]; bump
@@ -39,8 +38,9 @@ use crate::{ExpConfig, Table};
 /// `nvpd/3` added the cache quarantine counter, the `retryable` hint on
 /// `Reject` frames, and the `replayed` idempotency marker on `Result`
 /// frames (crash-durable server); `nvpd/4` dropped the superblock
-/// counters with the superblock tier, keeping the lane-group pair.
-pub const PROTOCOL: &str = "nvpd/4";
+/// counters with the superblock tier; `nvpd/5` dropped the lane-group
+/// pair, leaving results with cache and scheduler counters only.
+pub const PROTOCOL: &str = "nvpd/5";
 
 /// Upper bound a frame's length prefix may claim. Large enough for any
 /// full-evaluation result with headroom, small enough that a corrupt or
@@ -190,9 +190,6 @@ fn put_result(out: &mut Vec<u8>, result: &CampaignResult) {
         put_u64(out, v);
     }
     for v in [result.sched.tasks, result.sched.steals, result.sched.helpers] {
-        put_u64(out, v);
-    }
-    for v in [result.exec.lane_groups, result.exec.lane_group_items] {
         put_u64(out, v);
     }
 }
@@ -392,8 +389,7 @@ fn get_result(r: &mut Reader<'_>) -> io::Result<CampaignResult> {
         quarantined: r.u64()?,
     };
     let sched = SchedStats { tasks: r.u64()?, steals: r.u64()?, helpers: r.u64()? };
-    let exec = ExecStats { lane_groups: r.u64()?, lane_group_items: r.u64()? };
-    Ok(CampaignResult { tables, profiles, cache, sched, exec })
+    Ok(CampaignResult { tables, profiles, cache, sched })
 }
 
 /// Decodes one payload (tag + body) into a [`Message`].
@@ -569,7 +565,6 @@ mod tests {
             profiles: vec![(1, "t_s,power_uW\n0.0,12.5\n".into())],
             cache: SimCacheStats { hits: 7, disk_hits: 2, misses: 3, persisted: 3, quarantined: 1 },
             sched: SchedStats { tasks: 10, steals: 4, helpers: 2 },
-            exec: ExecStats { lane_groups: 4, lane_group_items: 30 },
         }
     }
 
@@ -691,7 +686,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &Message::Submit(sample_request())).unwrap();
         // The protocol string sits at a fixed offset: frame header (8),
-        // tag (1), string length (4), then "nvpd/1". Flip the digit —
+        // tag (1), string length (4), then `PROTOCOL`. Flip its last digit —
         // but then the CRC catches it, so recompute the CRC to emulate
         // a *well-formed* frame from a future protocol.
         let digit = 8 + 1 + 4 + PROTOCOL.len() - 1;

@@ -375,7 +375,8 @@ pub(crate) struct BlockTable {
     pub(crate) at: Vec<(u32, u32)>,
 }
 
-/// Sentinel for "this address starts no block".
+/// Placeholder plan index in [`BlockTable::at`] while `build` runs;
+/// every entry is overwritten before it returns.
 pub(crate) const NO_PLAN: u32 = u32::MAX;
 
 fn make_term(d: &Decoded, pc: u32) -> Term {
@@ -422,16 +423,6 @@ fn make_term(d: &Decoded, pc: u32) -> Term {
 }
 
 impl BlockTable {
-    /// The plan starting at `pc`, or [`NO_PLAN`] if `pc` is outside the
-    /// image or inside a block.
-    #[inline]
-    pub(crate) fn plan_at(&self, pc: u32) -> u32 {
-        match self.at.get(pc as usize) {
-            Some(&(plan, 0)) => plan,
-            _ => NO_PLAN,
-        }
-    }
-
     /// Partitions a predecoded image into basic blocks and lowers each
     /// block body to micro-ops.
     pub(crate) fn build(code: &[Decoded], entry: u32) -> BlockTable {

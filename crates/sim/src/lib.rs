@@ -37,12 +37,10 @@
 mod block;
 mod checkpoint;
 mod energy;
-mod lanes;
 mod machine;
 
 pub use checkpoint::{crc32_bytes, crc32_words, torn_prefix_words, Checkpoint, CHECKPOINT_WORDS};
 pub use energy::{CycleModel, EnergyModel, InstClass};
-pub use lanes::{LaneMachine, LaneStats, MAX_LANES};
 pub use machine::{
     ArchState, BlockStats, CostBudget, Counters, Machine, MachineImage, SimError, Step,
 };

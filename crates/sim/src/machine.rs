@@ -213,8 +213,8 @@ impl std::error::Error for SimError {
 ///
 /// Building an image does all the per-program work — decode, block
 /// partitioning, micro-op lowering — exactly once; any number of
-/// [`Machine`]s (or [`LaneMachine`](crate::LaneMachine) lanes) can then
-/// be instantiated from the same `Arc`'d image without re-decoding.
+/// [`Machine`]s can then be instantiated from the same `Arc`'d image
+/// without re-decoding.
 /// Monte-Carlo campaigns that run thousands of same-program trials share
 /// one image across every trial and every power-failure rebuild.
 #[derive(Debug)]
@@ -350,21 +350,6 @@ impl Machine {
             out_log: Vec::new(),
             counters: Counters::default(),
         }
-    }
-
-    /// Assembles a machine from lane-extracted state (same image).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_lane_parts(
-        image: Arc<MachineImage>,
-        regs: [u16; 16],
-        pc: u32,
-        halted: bool,
-        dmem: Vec<u16>,
-        inputs: [u16; 16],
-        out_log: Vec<(u8, u16)>,
-        counters: Counters,
-    ) -> Machine {
-        Machine { image, regs, pc, halted, dmem, inputs, out_log, counters }
     }
 
     /// The shared program image this machine executes.

@@ -1,16 +1,16 @@
 //! Execution-tier equivalence over every registry workload kernel.
 //!
-//! All execution tiers must be observationally identical: per
-//! instruction `step()` dispatch, the fused basic-block engine
+//! Both execution tiers must be observationally identical: per
+//! instruction `step()` dispatch and the fused basic-block engine
 //! (`Machine::run_blocks`, and its cost-bounded form
-//! `Machine::run_bounded`), and the SoA lane engine ([`LaneMachine`]) —
-//! same final registers, same memory digest, same retired-instruction
-//! count, and bit-identical energy (`f64::to_bits` — fused execution
-//! must preserve the exact per-instruction f64 accumulation order).
-//! Checked for one uninterrupted run, under randomized chunked
-//! instruction budgets (mid-block budget exhaustion, re-entry at
-//! non-leader program counters, the lane tier's scalar fallback), and
-//! under randomized cycle and energy caps with mid-block restores.
+//! `Machine::run_bounded`) — same final registers, same memory digest,
+//! same retired-instruction count, and bit-identical energy
+//! (`f64::to_bits` — fused execution must preserve the exact
+//! per-instruction f64 accumulation order). Checked for one
+//! uninterrupted run, under randomized chunked instruction budgets
+//! (mid-block budget exhaustion, re-entry at non-leader program
+//! counters), and under randomized cycle and energy caps with
+//! mid-block restores.
 
 mod support;
 
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
 use support::{assert_same_state, bounded_step, random_budget, WorstCosts};
 
@@ -86,19 +86,7 @@ fn steps_to_target(m: &mut Machine, target: u64) {
     }
 }
 
-/// Advances every lane to `target` retired instructions (kernel lanes
-/// carry identical state, so they advance together; a stalled group
-/// would spin forever, which the round guard converts into a failure).
-fn lanes_to_target(lm: &mut LaneMachine, target: u64) {
-    let mut rounds = 0u32;
-    while lm.lane_counters(0).instructions < target && !lm.all_done() {
-        lm.run(target - lm.lane_counters(0).instructions);
-        rounds += 1;
-        assert!(rounds < 1_000_000, "lane tier stalled before {target} instructions");
-    }
-}
-
-/// The shared decoded image the block and lane tiers execute from,
+/// The shared decoded image the step and block tiers execute from,
 /// plus the program's per-instruction worst-case costs.
 fn image_for(kind: KernelKind, frame: &GrayImage) -> (Arc<MachineImage>, WorstCosts) {
     let inst = kind.build(frame).expect("kernel builds");
@@ -119,16 +107,9 @@ fn all_kernels_match_step_mode_exactly() {
         let (image, _) = image_for(kind, &frame);
         let mut by_step = Machine::from_image(&image);
         let mut by_block = Machine::from_image(&image);
-        let mut by_lanes = LaneMachine::new(&image, 4);
         steps_to_target(&mut by_step, BUDGET);
         blocks_to_target(&mut by_block, BUDGET);
-        lanes_to_target(&mut by_lanes, BUDGET);
         assert_same(&by_step, &by_block, &format!("{kind:?} full run, block tier"));
-        for lane in 0..by_lanes.width() {
-            assert!(by_lanes.lane_error(lane).is_none(), "{kind:?} lane {lane} faulted");
-            let m = by_lanes.extract(lane);
-            assert_same(&by_step, &m, &format!("{kind:?} full run, lane {lane}"));
-        }
     }
 }
 
@@ -140,20 +121,15 @@ fn all_kernels_match_step_mode_under_chunked_budgets() {
         let (image, _) = image_for(kind, &frame);
         let mut by_step = Machine::from_image(&image);
         let mut by_block = Machine::from_image(&image);
-        let mut by_lanes = LaneMachine::new(&image, 2);
         let mut target = 0u64;
         // Ragged chunks land budget boundaries mid-block, so the block
         // engine must stop after a body prefix and later re-enter at
-        // non-leader pcs (and the lane tier must take its scalar
-        // fallback) — compare after every chunk, not just at the end.
+        // non-leader pcs — compare after every chunk, not just at the end.
         for round in 0..64 {
             target += 1 + u64::from(rng.next_u32() % 97);
             steps_to_target(&mut by_step, target);
             blocks_to_target(&mut by_block, target);
-            lanes_to_target(&mut by_lanes, target);
             assert_same(&by_step, &by_block, &format!("{kind:?} chunk {round}, block"));
-            let lane0 = by_lanes.extract(0);
-            assert_same(&by_step, &lane0, &format!("{kind:?} chunk {round}, lane 0"));
             if by_step.halted() {
                 break;
             }

@@ -4,22 +4,21 @@
 //! programs shaped to stress exactly what the fused tiers specialize
 //! on — loops, branch diamonds, subroutines, divide-by-zero, memory
 //! traffic — and every program must execute identically under
-//! per-instruction `step()`, the block tier (instruction-capped and
-//! cost-bounded), and the SoA lane tier. Lanes are driven with
-//! *distinct* input-port values so branch directions genuinely diverge
-//! across the group and the peel paths run, and each lane is checked
-//! against a scalar machine given the same input. The cost-bounded
-//! runs draw random cycle and energy caps, also on a variant with
-//! `ckpt` hints sprinkled through the program. Wild-mode programs may
-//! fault; every tier must then report the identical error with
-//! identical prior state.
+//! per-instruction `step()` and the block tier (instruction-capped and
+//! cost-bounded). Each program runs under several *distinct* input-port
+//! values so branch directions differ between runs, and each run is
+//! checked against a stepped machine given the same input. The
+//! cost-bounded runs draw random cycle and energy caps, also on a
+//! variant with `ckpt` hints sprinkled through the program. Wild-mode
+//! programs may fault; every tier must then report the identical error
+//! with identical prior state.
 
 mod support;
 
 use std::sync::Arc;
 
 use nvp_isa::asm::assemble;
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage, SimError};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError};
 use nvp_workloads::fuzz::{generate, FuzzClass, FuzzedProgram};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -32,8 +31,9 @@ const BUDGET: u64 = 200_000;
 const SEED_FAMILIES: [u64; 2] = [0x00A1_0000, 0x00B2_0000];
 const PROGRAMS_PER_FAMILY: u64 = 12;
 
-/// Lane width used for the divergence runs.
-const WIDTH: usize = 4;
+/// Port-0 inputs each program runs under: the fuzzed `in r7, 0` read
+/// makes downstream branch directions input-dependent.
+const INPUTS: [u16; 4] = [0x0000, 0x0001, 0x7FFF, 0xFFFE];
 
 fn image_of(program: &nvp_isa::Program, dmem_words: usize) -> Arc<MachineImage> {
     Arc::new(
@@ -61,13 +61,10 @@ fn drive(
 /// Exercises one fuzzed program across every tier.
 fn check_program(f: &FuzzedProgram, seed: u64, tag: &str) {
     let image = image_of(&f.program, f.dmem_words);
-    // Distinct port-0 inputs per lane: the fuzzed `in r7, 0` read makes
-    // downstream branch directions lane-dependent.
-    let inputs: [u16; WIDTH] = [0x0000, 0x0001, 0x7FFF, 0xFFFE];
 
     // Scalar reference per input, by single stepping.
     let mut refs: Vec<(Machine, Option<SimError>)> = Vec::new();
-    for &input in &inputs {
+    for &input in &INPUTS {
         let mut m = Machine::from_image(&image);
         m.set_input(0, input);
         let err = drive(&mut m, |m| m.step().map(|_| m.halted()));
@@ -75,7 +72,7 @@ fn check_program(f: &FuzzedProgram, seed: u64, tag: &str) {
     }
 
     // Block tier against the same inputs.
-    for (i, &input) in inputs.iter().enumerate() {
+    for (i, &input) in INPUTS.iter().enumerate() {
         let mut m = Machine::from_image(&image);
         m.set_input(0, input);
         let err = drive(&mut m, |m| Ok(m.run_blocks(BUDGET)?.halted));
@@ -89,7 +86,7 @@ fn check_program(f: &FuzzedProgram, seed: u64, tag: &str) {
     // as generated (ending where the step reference ends), once with
     // `ckpt` hints inside its blocks.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC057_B0D6);
-    for (i, &input) in inputs.iter().enumerate() {
+    for (i, &input) in INPUTS.iter().enumerate() {
         let ctx = format!("{tag}: bounded tier, input {input:#x}\n{}", f.source);
         let (m, err) =
             run_bounded_to_end(&image, &WorstCosts::of(&f.program), input, &mut rng, &ctx);
@@ -102,28 +99,6 @@ fn check_program(f: &FuzzedProgram, seed: u64, tag: &str) {
         let ctx = format!("{tag}: bounded tier with ckpt hints, input {input:#x}\n{hinted}");
         let image = image_of(&program, f.dmem_words);
         run_bounded_to_end(&image, &WorstCosts::of(&program), input, &mut rng, &ctx);
-    }
-
-    // Lane tier: all four inputs in one group.
-    let mut lm = LaneMachine::new(&image, WIDTH);
-    for (lane, &input) in inputs.iter().enumerate() {
-        lm.set_input(lane, 0, input);
-    }
-    let mut rounds = 0u32;
-    while !lm.all_done() {
-        lm.run(BUDGET);
-        rounds += 1;
-        assert!(rounds < 1_000, "{tag}: lane group failed to converge\n{}", f.source);
-    }
-    for (lane, (reference, ref_err)) in refs.iter().enumerate() {
-        assert_eq!(
-            lm.lane_error(lane),
-            ref_err.as_ref(),
-            "{tag}: lane {lane} fault disposition\n{}",
-            f.source
-        );
-        let m = lm.extract(lane);
-        assert_same_state(reference, &m, &format!("{tag}: lane {lane}\n{}", f.source));
     }
 }
 
