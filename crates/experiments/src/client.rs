@@ -167,10 +167,13 @@ fn backoff_delay(cfg: &ClientConfig, key: &[u8; 32], attempt: u32) -> Duration {
 
 /// Maps a transport-layer error seen mid-conversation to a typed one.
 /// Timeouts, resets, and truncation are transient; an undecodable
-/// frame (`InvalidData`) means the peer is not speaking our protocol.
+/// frame (`InvalidData`) means the peer is not speaking our protocol,
+/// and a request over the frame cap (`InvalidInput`) can never be sent.
 fn classify_io(e: &io::Error) -> ClientError {
     match e.kind() {
-        io::ErrorKind::InvalidData => ClientError::Fatal { detail: e.to_string() },
+        io::ErrorKind::InvalidData | io::ErrorKind::InvalidInput => {
+            ClientError::Fatal { detail: e.to_string() }
+        }
         _ => ClientError::Retryable { detail: e.to_string() },
     }
 }

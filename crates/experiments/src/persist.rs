@@ -2,71 +2,45 @@
 //!
 //! The in-memory cache in [`crate::simcache`] dies with the process, so
 //! a warm full-campaign rerun still pays for every unique simulation.
-//! This module makes the cache durable: an **append-only record log**
-//! under a cache directory (`NVP_CACHE_DIR`, or `<out_dir>/.simcache`
-//! for the `repro` binary), **sharded by the first byte** of the
-//! SHA-256 content key so concurrent writers rarely touch the same
-//! file and reloads stream a few small files instead of one huge one.
+//! This module makes the cache durable as a typed layer over
+//! [`crate::recordlog`], which owns the framing, the damage-tolerant
+//! scan, append, quarantine naming and the atomic rewrite. Records are
+//! **sharded by the first byte** of the SHA-256 content key under a
+//! cache directory (`NVP_CACHE_DIR`, or `<out_dir>/.simcache` for the
+//! `repro` binary), so concurrent writers rarely touch the same file
+//! and reloads stream a few small files instead of one huge one.
 //!
-//! ## Record format
+//! What is this module's own:
 //!
-//! Each shard file `<xx>.log` (`xx` = first key byte, hex) starts with
-//! the 8-byte magic `b"nvpsimc1"` — the `1` is the schema version,
-//! bumped whenever the `RunReport` layout changes so stale caches are
-//! skipped wholesale rather than misdecoded. After the header, records
-//! are length-prefixed and CRC-framed:
+//! * the shard file `<xx>.log` (`xx` = first key byte, hex) and its
+//!   magic `b"nvpsimc1"` — the `1` is the schema version, bumped
+//!   whenever the `RunReport` layout changes so stale caches are
+//!   skipped wholesale rather than misdecoded;
+//! * the record payload, `key (32 bytes) ++ RunReport (24 × 8-byte
+//!   fields, le)`, with floats stored as IEEE-754 bit patterns, so a
+//!   reloaded `RunReport` is bit-identical to the one computed and
+//!   artifacts built from cache hits stay byte-identical to cold runs.
 //!
-//! ```text
-//! [len: u32 le] [crc32: u32 le] [payload: len bytes]
-//! payload = key (32 bytes) ++ RunReport (24 × 8-byte fields, le)
-//! ```
-//!
-//! The CRC-32 is the checkpoint subsystem's
-//! ([`nvp_sim::crc32_bytes`]) — cache integrity and checkpoint
-//! integrity share one checksum — and covers the whole payload.
-//! Floats are stored as IEEE-754 bit patterns, so a reloaded
-//! `RunReport` is bit-identical to the one computed, and artifacts
-//! built from cache hits stay byte-identical to cold runs.
-//!
-//! ## Failure tolerance
-//!
-//! Loading is strictly best-effort — a damaged cache can cost time,
-//! never correctness:
-//!
-//! * **Truncated tail** (a writer killed mid-append): the broken tail
-//!   record is dropped, every record before it loads.
-//! * **Corrupt record** (CRC mismatch, bad length, short payload): the
-//!   record is skipped and never served; framing resumes at the next
-//!   length prefix when it is trustworthy, otherwise the rest of the
-//!   shard is abandoned.
-//! * **Concurrent appenders**: records are written with a single
-//!   `O_APPEND` write each, so two processes filling the same cache
-//!   interleave whole records; a duplicated header (both processes
-//!   creating the same shard) is recognized and skipped. Duplicate
-//!   keys are benign — both writers computed bit-identical reports.
-//!
-//! ## Quarantine
-//!
-//! A shard that shows *any* damage on load — a torn tail, a CRC
-//! mismatch, a foreign or stale-schema file — is **quarantined**:
-//! renamed to `<name>.quarantine` (suffixed `.2`, `.3`, … if earlier
-//! quarantines exist) and counted in [`LoadOutcome::quarantined`], so
-//! operators can tell a *cold* cache from a *corrupted* one instead of
-//! records silently vanishing. Records salvaged from a damaged shard
-//! are still served, and are immediately re-appended to a fresh shard
-//! file so the on-disk state heals while the quarantined file preserves
-//! the evidence. The counter flows through
-//! [`crate::SimCacheStats::quarantined`] into the `repro` cache summary
-//! and the `nvpd` wire stats.
+//! Loading is best-effort: a damaged cache can cost time, never
+//! correctness. A shard showing *any* damage (a torn tail, a CRC
+//! mismatch, a foreign or stale-schema file, a CRC-valid payload of the
+//! wrong shape) is **quarantined**: copied aside as
+//! `<name>.quarantine[.N]`, then rewritten to hold exactly the records
+//! salvaged from it, which are still served. The counter flows through
+//! [`LoadOutcome::quarantined`] and [`crate::SimCacheStats::quarantined`]
+//! into the `repro` cache summary and the `nvpd` wire stats, so
+//! operators can tell a *cold* cache from a *corrupted* one. Duplicate
+//! keys from concurrent appenders are benign: both writers computed
+//! bit-identical reports.
 
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use nvp_core::RunReport;
 use nvp_energy::units::Joules;
-use nvp_sim::crc32_bytes;
 
+use crate::recordlog;
 use crate::simcache::Digest;
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
@@ -78,10 +52,6 @@ const REPORT_BYTES: usize = 24 * 8;
 /// Payload length of a well-formed record: key + report.
 const PAYLOAD_BYTES: usize = 32 + REPORT_BYTES;
 
-/// Upper bound a length prefix may claim before the loader stops
-/// trusting the shard's framing entirely.
-const MAX_RECORD_BYTES: u32 = 4096;
-
 /// What [`PersistentStore::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub(crate) struct LoadOutcome {
@@ -90,9 +60,9 @@ pub(crate) struct LoadOutcome {
     /// Records (or whole unreadable/foreign files) dropped during the
     /// scan — corruption tolerated, never served.
     pub skipped: u64,
-    /// Shard files renamed to `*.quarantine` because the scan found
-    /// damage in them. Salvaged records were re-appended to a fresh
-    /// shard, so a subsequent open reports the directory clean.
+    /// Damaged shard files copied to `*.quarantine` and rewritten to
+    /// their salvaged records, so a subsequent open reports the
+    /// directory clean.
     pub quarantined: u64,
 }
 
@@ -107,7 +77,6 @@ impl PersistentStore {
     /// shard for valid records.
     pub(crate) fn open(dir: &Path) -> io::Result<(PersistentStore, LoadOutcome)> {
         fs::create_dir_all(dir)?;
-        let store = PersistentStore { dir: dir.to_path_buf() };
         let mut outcome = LoadOutcome::default();
         // Deterministic scan order: sorted shard names.
         let mut shards: Vec<PathBuf> = fs::read_dir(dir)?
@@ -117,128 +86,57 @@ impl PersistentStore {
             .collect();
         shards.sort();
         for shard in shards {
-            let mut local = LoadOutcome::default();
-            match fs::read(&shard) {
-                Ok(bytes) => scan_shard(&bytes, &mut local),
-                Err(_) => local.skipped += 1,
-            }
-            if local.skipped > 0 {
-                // Any damage quarantines the whole file: rename it
-                // aside as evidence, then heal by re-appending the
-                // salvaged records to a fresh shard. Operators see a
-                // counter instead of records silently vanishing.
-                match quarantine_file(&shard) {
-                    Ok(target) => {
-                        outcome.quarantined += 1;
-                        eprintln!(
-                            "warning: sim cache shard {} damaged ({} record(s) lost); \
-                             quarantined as {}",
-                            shard.display(),
-                            local.skipped,
-                            target.display()
-                        );
-                        for (key, report) in &local.records {
-                            // Healing is best-effort; the records are
-                            // already in memory either way.
-                            let _ = store.append(key, report);
-                        }
+            let Ok(bytes) = fs::read(&shard) else {
+                outcome.skipped += 1;
+                continue;
+            };
+            let scan = recordlog::scan(MAGIC, &bytes);
+            let mut damaged = scan.damaged;
+            let mut salvaged = Vec::with_capacity(scan.payloads.len());
+            for payload in scan.payloads {
+                match decode_payload(payload) {
+                    Some(record) => {
+                        outcome.records.push(record);
+                        salvaged.push(payload);
                     }
-                    Err(e) => eprintln!(
-                        "warning: sim cache shard {} damaged but could not be quarantined ({e})",
-                        shard.display()
-                    ),
+                    None => damaged += 1, // valid CRC but foreign shape
                 }
             }
-            outcome.skipped += local.skipped;
-            outcome.records.append(&mut local.records);
+            if damaged == 0 {
+                continue;
+            }
+            outcome.skipped += damaged;
+            // Keep the evidence, then heal: the shard is rewritten to
+            // its salvage, which stays in memory either way.
+            let healed = recordlog::quarantine_name(&shard).and_then(|target| {
+                fs::copy(&shard, &target)?;
+                recordlog::rewrite(&shard, MAGIC, salvaged)?;
+                Ok(target)
+            });
+            match healed {
+                Ok(target) => {
+                    outcome.quarantined += 1;
+                    eprintln!(
+                        "warning: sim cache shard {} damaged ({damaged} record(s) lost); \
+                         quarantined as {}",
+                        shard.display(),
+                        target.display()
+                    );
+                }
+                Err(e) => eprintln!(
+                    "warning: sim cache shard {} damaged but could not be quarantined ({e})",
+                    shard.display()
+                ),
+            }
         }
-        Ok((store, outcome))
+        Ok((PersistentStore { dir: dir.to_path_buf() }, outcome))
     }
 
-    /// Appends one record to the key's shard. The header (for a fresh
-    /// shard) and the record are each written with a single `O_APPEND`
-    /// write, so concurrent appenders interleave whole records.
+    /// Appends one record to the key's shard.
     pub(crate) fn append(&self, key: &Digest, report: &RunReport) -> io::Result<()> {
         let shard = self.dir.join(format!("{:02x}.log", key[0]));
-        let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
-        let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
-        let payload = encode_payload(key, report);
-        let crc = crc32_bytes(&payload);
-        let len = u32::try_from(payload.len()).expect("payload is far below u32::MAX");
-        let mut record = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
-        if fresh {
-            // Two processes racing on a fresh shard can both prepend
-            // the magic; the loader tolerates a repeated header.
-            record.extend_from_slice(MAGIC);
-        }
-        record.extend_from_slice(&len.to_le_bytes());
-        record.extend_from_slice(&crc.to_le_bytes());
-        record.extend_from_slice(&payload);
-        file.write_all(&record)
-    }
-}
-
-/// Renames a damaged shard to the first free `<name>.quarantine[.N]`
-/// sibling and returns the chosen path.
-fn quarantine_file(path: &Path) -> io::Result<PathBuf> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::other("shard path has no utf-8 file name"))?;
-    for n in 1..=1000u32 {
-        let candidate = if n == 1 {
-            dir.join(format!("{name}.quarantine"))
-        } else {
-            dir.join(format!("{name}.quarantine.{n}"))
-        };
-        if !candidate.exists() {
-            fs::rename(path, &candidate)?;
-            return Ok(candidate);
-        }
-    }
-    Err(io::Error::other("no free quarantine name after 1000 attempts"))
-}
-
-/// Walks one shard's bytes, pushing valid records and counting damage.
-fn scan_shard(bytes: &[u8], outcome: &mut LoadOutcome) {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        // Foreign or stale-schema file: skip wholesale.
-        outcome.skipped += 1;
-        return;
-    }
-    let mut off = MAGIC.len();
-    while off < bytes.len() {
-        // A header written twice by racing shard creators.
-        if bytes[off..].starts_with(MAGIC) {
-            off += MAGIC.len();
-            continue;
-        }
-        let Some(header) = bytes.get(off..off + 8) else {
-            outcome.skipped += 1; // truncated length/CRC prefix
-            return;
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            // The length prefix itself is implausible; framing is no
-            // longer trustworthy, abandon the rest of the shard.
-            outcome.skipped += 1;
-            return;
-        }
-        let Some(payload) = bytes.get(off + 8..off + 8 + len as usize) else {
-            outcome.skipped += 1; // truncated tail record
-            return;
-        };
-        off += 8 + len as usize;
-        if crc32_bytes(payload) != crc {
-            outcome.skipped += 1; // corrupt record: skip, never serve
-            continue;
-        }
-        match decode_payload(payload) {
-            Some(rec) => outcome.records.push(rec),
-            None => outcome.skipped += 1, // valid CRC but foreign shape
-        }
+        let record = recordlog::frame(&encode_payload(key, report))?;
+        recordlog::append(&mut recordlog::open_append(&shard, MAGIC)?, &record, false)
     }
 }
 

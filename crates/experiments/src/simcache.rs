@@ -258,8 +258,8 @@ pub struct SimCacheStats {
     /// Reports this process appended to the persistent store.
     pub persisted: u64,
     /// Damaged shard files the persistent store quarantined on load
-    /// (renamed `*.quarantine`; salvage re-appended). Distinguishes a
-    /// corrupted cache from a merely cold one.
+    /// (copied to `*.quarantine`, then rewritten to the salvage).
+    /// Distinguishes a corrupted cache from a merely cold one.
     pub quarantined: u64,
 }
 

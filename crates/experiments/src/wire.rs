@@ -1,36 +1,31 @@
-//! The `nvpd` wire protocol: length-prefixed, CRC-framed messages.
+//! The `nvpd` wire protocol: CRC-framed messages.
 //!
 //! The campaign server and its clients (`repro --connect`, `nvpd
-//! submit`) exchange [`Message`]s over a byte stream. Framing mirrors
-//! the persistent cache's record log (`persist.rs`):
+//! submit`) exchange [`Message`]s over a byte stream, one
+//! [`crate::recordlog`] record per message (the record log owns the
+//! `[len][crc32][payload]` codec and its length cap):
 //!
 //! ```text
-//! [len: u32 le] [crc32: u32 le] [payload: len bytes]
 //! payload = tag (1 byte) ++ body
 //! ```
 //!
-//! The CRC-32 is the checkpoint subsystem's ([`nvp_sim::crc32_bytes`])
-//! — wire integrity, cache integrity, and checkpoint integrity share
-//! one checksum — and covers the whole payload. Bodies are built from
-//! length-prefixed fields with every integer little-endian and floats
-//! as IEEE-754 bit patterns, so a [`CampaignResult`] decoded on the
-//! client renders artifacts byte-identical to an in-process run.
+//! Bodies are built from length-prefixed fields with every integer
+//! little-endian and floats as IEEE-754 bit patterns, so a
+//! [`CampaignResult`] decoded on the client renders artifacts
+//! byte-identical to an in-process run.
 //!
 //! Decoding is strictly total: a truncated frame, a flipped CRC byte,
 //! an implausible length prefix, an unknown message tag, or a malformed
 //! body all come back as [`io::ErrorKind::InvalidData`] /
 //! [`io::ErrorKind::UnexpectedEof`] errors — never a panic, and never a
-//! partially decoded message (mirroring the record-log loader's
-//! robustness posture).
+//! partially decoded message.
 
 use std::io::{self, Read, Write};
-
-use nvp_sim::crc32_bytes;
 
 use crate::job::{CachePolicy, CampaignRequest, CampaignResult};
 use crate::sched::SchedStats;
 use crate::simcache::{Sha256, SimCacheStats};
-use crate::{ExpConfig, Table};
+use crate::{recordlog, ExpConfig, Table};
 
 /// Protocol schema tag carried inside every [`Message::Submit`]; bump
 /// when the request or result encoding changes shape. `nvpd/2` added
@@ -42,10 +37,9 @@ use crate::{ExpConfig, Table};
 /// pair, leaving results with cache and scheduler counters only.
 pub const PROTOCOL: &str = "nvpd/5";
 
-/// Upper bound a frame's length prefix may claim. Large enough for any
-/// full-evaluation result with headroom, small enough that a corrupt or
-/// hostile prefix cannot make the reader allocate unbounded memory.
-pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+/// Upper bound a frame's length prefix may claim: the record log's one
+/// cap, so every admissible request can also be journalled.
+pub use crate::recordlog::MAX_RECORD_BYTES as MAX_FRAME_BYTES;
 
 /// Everything that travels between a campaign client and the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -501,22 +495,15 @@ pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
 // Framing.
 // ---------------------------------------------------------------------
 
-/// Writes one framed message: `[len][crc32][payload]`, then flushes.
+/// Writes one framed message, then flushes.
 ///
 /// # Errors
 ///
-/// Any I/O error from the underlying writer.
+/// Any I/O error from the underlying writer;
+/// [`io::ErrorKind::InvalidInput`] for a message over
+/// [`MAX_FRAME_BYTES`], of which nothing is written.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    let payload = encode_payload(msg);
-    let len = u32::try_from(payload.len()).map_err(|_| bad("message exceeds frame cap"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(bad("message exceeds frame cap"));
-    }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc32_bytes(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    w.write_all(&frame)?;
+    w.write_all(&recordlog::frame(&encode_payload(msg))?)?;
     w.flush()
 }
 
@@ -530,24 +517,13 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 /// Any I/O error from the underlying reader, or the malformed-frame
 /// errors above.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Message> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len == 0 || len > MAX_FRAME_BYTES {
-        return Err(bad(&format!("implausible frame length {len}")));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    if crc32_bytes(&payload) != crc {
-        return Err(bad("frame CRC mismatch"));
-    }
-    decode_payload(&payload)
+    decode_payload(&recordlog::read_record(r)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvp_sim::crc32_bytes;
     use std::io::Cursor;
 
     fn sample_request() -> CampaignRequest {

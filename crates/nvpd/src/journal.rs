@@ -11,14 +11,12 @@
 //!
 //! ## Journal format
 //!
-//! One file, `journal.log`, using the exact record-framing idiom of
-//! the simulation cache's shard logs (`nvp_experiments::persist`) and
-//! the checkpoint subsystem's CRC ([`nvp_sim::crc32_bytes`]): an
-//! 8-byte magic `b"nvpjrnl1"`, then length-prefixed, CRC-framed
-//! records:
+//! One file, `journal.log`: a record log
+//! ([`nvp_experiments::recordlog`], which owns the framing, the
+//! damage-tolerant scan, quarantine naming and the atomic rewrite)
+//! headed by the magic `b"nvpjrnl1"`, whose record payloads are
 //!
 //! ```text
-//! [len: u32 le] [crc32: u32 le] [payload: len bytes]
 //! payload = tag (1 byte) ++ body
 //!   tag 1 Admitted:  job u64 ++ key 32B ++ req_len u32 ++ request wire bytes
 //!   tag 2 Started:   job u64
@@ -28,7 +26,9 @@
 //! `key` is the request's content-addressed idempotency key
 //! ([`nvp_experiments::wire::request_key`]); the `Completed` digest is
 //! the SHA-256 of the stored result encoding, tying the log to the
-//! store.
+//! store. Only the `Admitted` append is fsync'd: it must be durable
+//! before `Accepted` goes out, while a lost `Started` or `Completed`
+//! merely re-runs an idempotent job.
 //!
 //! ## Recovery state machine
 //!
@@ -37,15 +37,16 @@
 //! never reached `Completed` is **pending** and gets re-enqueued
 //! (whether or not it `Started` — jobs are idempotent through the
 //! simulation cache, so restarting a half-run job is merely warm). The
-//! journal is then **compacted**: rewritten (tmp + atomic rename) to
-//! hold exactly the pending `Admitted` records. Compaction also runs
-//! at runtime whenever the live set empties.
+//! journal is then **compacted**: rewritten to hold exactly the pending
+//! `Admitted` records. Compaction also runs at runtime whenever the
+//! live set empties, as a rewrite of the empty set.
 //!
-//! A torn tail record — the shape an injected or real crash leaves —
-//! is dropped and counted. Any damage beyond that (bad magic, corrupt
-//! interior record) additionally **quarantines** the journal: the file
-//! is copied aside as `journal.log.quarantine[.N]` before the rewrite,
-//! so the evidence survives while the server carries on with what it
+//! Any damage the scan finds (a torn tail — the shape an injected or
+//! real crash leaves — bad magic, a corrupt interior record, an
+//! undecodable body) is counted and **quarantines** the journal: the
+//! file is copied aside as `journal.log.quarantine[.N]` before the
+//! rewrite, so the evidence survives, a crash mid-rewrite still leaves
+//! `journal.log` to rescan, and the server carries on with what it
 //! could salvage. The store never aborts the server over a bad file.
 //!
 //! ## Result store
@@ -57,18 +58,19 @@
 //! quarantined (renamed) and reported as a miss, which simply re-runs
 //! the job against the warm simulation cache.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use nvp_experiments::recordlog;
 use nvp_experiments::wire::{
     content_digest, decode_request_bytes, decode_result_bytes, encode_request_bytes,
     encode_result_bytes,
 };
 use nvp_experiments::{CampaignRequest, CampaignResult};
-use nvp_sim::crc32_bytes;
 
 use crate::faultplan::{AppendAction, ServiceFaultPlan, CRASH_EXIT_CODE};
 
@@ -79,10 +81,6 @@ const MAGIC: &[u8; 8] = b"nvpjrnl1";
 const TAG_ADMITTED: u8 = 1;
 const TAG_STARTED: u8 = 2;
 const TAG_COMPLETED: u8 = 3;
-
-/// Upper bound a record length prefix may claim before the scan stops
-/// trusting the framing (a request is a few hundred bytes at most).
-const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// A 256-bit content digest (idempotency key or result digest).
 pub type Digest = [u8; 32];
@@ -156,66 +154,60 @@ impl Journal {
         let path = state_dir.join("journal.log");
 
         let mut recovery = Recovery::default();
-        let mut trustworthy = true;
         match fs::read(&path) {
-            Ok(bytes) => scan(&bytes, &mut recovery, &mut trustworthy),
+            Ok(bytes) => fold(&bytes, &mut recovery),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(_) => {
-                recovery.skipped += 1;
-                trustworthy = false;
-            }
+            Err(_) => recovery.skipped += 1,
         }
-        if !trustworthy || recovery.skipped > 0 {
-            // Keep the evidence. `fs::copy` (not rename) so a crash
-            // during the rewrite below still leaves `journal.log` to
-            // rescan — recovery must never lose admitted jobs.
-            if path.exists() && quarantine_copy(&path).is_ok() {
-                recovery.quarantined += 1;
-                eprintln!(
-                    "nvpd: journal {} damaged ({} record(s) dropped); quarantined a copy",
-                    path.display(),
-                    recovery.skipped
-                );
-            }
+        // Keep the evidence. A copy (not a rename), so a crash during
+        // the rewrite below still leaves `journal.log` to rescan —
+        // recovery must never lose admitted jobs.
+        if recovery.skipped > 0
+            && recordlog::quarantine_name(&path).and_then(|q| fs::copy(&path, q)).is_ok()
+        {
+            recovery.quarantined += 1;
+            eprintln!(
+                "nvpd: journal {} damaged ({} record(s) dropped); quarantined a copy",
+                path.display(),
+                recovery.skipped
+            );
         }
 
+        // Startup compaction: the new journal holds exactly the
+        // pending admissions.
+        let pending: Vec<Vec<u8>> = recovery
+            .pending
+            .iter()
+            .map(|job| admitted_body(job.id, &job.key, &job.request))
+            .collect();
+        let file = recordlog::rewrite(&path, MAGIC, pending.iter().map(Vec::as_slice))?;
         let journal = Journal {
             path,
             results_dir,
             faults,
-            // Placeholder handle; `rewrite` below installs the real one.
-            inner: Mutex::new(Inner {
-                file: fs::File::create(state_dir.join(".journal.init"))?,
-                live: 0,
-            }),
+            inner: Mutex::new(Inner { file, live: pending.len() as u64 }),
             quarantined: AtomicU64::new(recovery.quarantined),
             compactions: AtomicU64::new(0),
         };
-        let _ = fs::remove_file(state_dir.join(".journal.init"));
-        // Startup compaction: the new journal holds exactly the
-        // pending admissions (tmp + atomic rename, so a crash here
-        // leaves the old journal intact).
-        journal.rewrite(&recovery.pending)?;
         Ok((journal, recovery))
     }
 
-    /// Journals an admission — MUST be durable before the `Accepted`
-    /// frame is sent (write-ahead: promise only what is logged).
+    /// Journals an admission and fsyncs it: it MUST be durable before
+    /// the `Accepted` frame is sent (write-ahead: promise only what is
+    /// logged).
     ///
     /// # Errors
     ///
-    /// Append I/O errors pass through (callers degrade gracefully).
+    /// Append and sync I/O errors pass through (callers degrade
+    /// gracefully), as does [`io::ErrorKind::InvalidInput`] for a record
+    /// over the record-log cap, which writes nothing.
     pub fn admitted(&self, job: u64, key: &Digest, request: &CampaignRequest) -> io::Result<()> {
-        let req_bytes = encode_request_bytes(request);
-        let mut body = Vec::with_capacity(1 + 8 + 32 + 4 + req_bytes.len());
-        body.push(TAG_ADMITTED);
-        body.extend_from_slice(&job.to_le_bytes());
-        body.extend_from_slice(key);
-        body.extend_from_slice(&(req_bytes.len() as u32).to_le_bytes());
-        body.extend_from_slice(&req_bytes);
+        let body = admitted_body(job, key, request);
         let mut inner = self.lock();
+        // Counted even if the append fails: the job still runs and
+        // completes, and an undercount would compact live entries away.
         inner.live += 1;
-        self.append_record(&mut inner, &body)
+        self.append_record(&mut inner, &body, true)
     }
 
     /// Journals the start-of-execution transition.
@@ -224,11 +216,9 @@ impl Journal {
     ///
     /// Append I/O errors pass through.
     pub fn started(&self, job: u64) -> io::Result<()> {
-        let mut body = Vec::with_capacity(9);
-        body.push(TAG_STARTED);
-        body.extend_from_slice(&job.to_le_bytes());
+        let body = [&[TAG_STARTED][..], &job.to_le_bytes()].concat();
         let mut inner = self.lock();
-        self.append_record(&mut inner, &body)
+        self.append_record(&mut inner, &body, false)
     }
 
     /// Journals completion (with the stored result's digest) and
@@ -238,17 +228,15 @@ impl Journal {
     ///
     /// Append I/O errors pass through.
     pub fn completed(&self, job: u64, digest: &Digest) -> io::Result<()> {
-        let mut body = Vec::with_capacity(1 + 8 + 32);
-        body.push(TAG_COMPLETED);
-        body.extend_from_slice(&job.to_le_bytes());
-        body.extend_from_slice(digest);
+        let body = [&[TAG_COMPLETED][..], &job.to_le_bytes(), digest].concat();
         let mut inner = self.lock();
-        self.append_record(&mut inner, &body)?;
+        self.append_record(&mut inner, &body, false)?;
         inner.live = inner.live.saturating_sub(1);
         if inner.live == 0 {
             // Everything journalled is done: shrink the log to its
             // header so restarts replay nothing.
-            self.compact(&mut inner)?;
+            inner.file = recordlog::rewrite(&self.path, MAGIC, [])?;
+            self.compactions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -282,7 +270,7 @@ impl Journal {
         match decode_result_bytes(&bytes) {
             Ok(result) => Some(result),
             Err(_) => {
-                if quarantine_rename(&path).is_ok() {
+                if recordlog::quarantine_name(&path).and_then(|q| fs::rename(&path, q)).is_ok() {
                     self.quarantined.fetch_add(1, Ordering::Relaxed);
                     eprintln!(
                         "nvpd: result store entry {} undecodable; quarantined",
@@ -315,15 +303,13 @@ impl Journal {
     }
 
     /// Frames `body` and appends it through the fault plan: a planned
-    /// tear writes a prefix and aborts the process, leaving exactly the
-    /// torn-tail shape recovery must tolerate.
-    fn append_record(&self, inner: &mut Inner, body: &[u8]) -> io::Result<()> {
-        let mut record = Vec::with_capacity(8 + body.len());
-        record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32_bytes(body).to_le_bytes());
-        record.extend_from_slice(body);
+    /// tear writes a prefix of the framed record and aborts the
+    /// process, leaving exactly the torn-tail shape recovery must
+    /// tolerate.
+    fn append_record(&self, inner: &mut Inner, body: &[u8], sync: bool) -> io::Result<()> {
+        let record = recordlog::frame(body)?;
         match self.faults.journal_append_action(record.len()) {
-            AppendAction::Full => inner.file.write_all(&record),
+            AppendAction::Full => recordlog::append(&mut inner.file, &record, sync),
             AppendAction::TearAndCrash(bytes) => {
                 let _ = inner.file.write_all(&record[..bytes]);
                 let _ = inner.file.sync_all();
@@ -338,94 +324,26 @@ impl Journal {
             }
         }
     }
-
-    /// Rewrites the journal to `MAGIC` + one `Admitted` record per
-    /// pending job, atomically, and installs the fresh append handle.
-    fn rewrite(&self, pending: &[PendingJob]) -> io::Result<()> {
-        let mut inner = self.lock();
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut out = Vec::new();
-            out.extend_from_slice(MAGIC);
-            for job in pending {
-                let req_bytes = encode_request_bytes(&job.request);
-                let mut body = Vec::with_capacity(1 + 8 + 32 + 4 + req_bytes.len());
-                body.push(TAG_ADMITTED);
-                body.extend_from_slice(&job.id.to_le_bytes());
-                body.extend_from_slice(&job.key);
-                body.extend_from_slice(&(req_bytes.len() as u32).to_le_bytes());
-                body.extend_from_slice(&req_bytes);
-                out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                out.extend_from_slice(&crc32_bytes(&body).to_le_bytes());
-                out.extend_from_slice(&body);
-            }
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
-        inner.live = pending.len() as u64;
-        Ok(())
-    }
-
-    /// Runtime compaction: every journalled entry is completed, so the
-    /// log shrinks back to its header.
-    fn compact(&self, inner: &mut Inner) -> io::Result<()> {
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(MAGIC)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
-/// Folds journal bytes into a [`Recovery`]; `trustworthy` flips false
-/// when the damage goes beyond an ordinary torn tail.
-fn scan(bytes: &[u8], recovery: &mut Recovery, trustworthy: &mut bool) {
-    use std::collections::BTreeMap;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        if !bytes.is_empty() {
-            recovery.skipped += 1;
-            *trustworthy = false;
-        }
-        return;
-    }
+/// The `Admitted` record body for one job.
+fn admitted_body(job: u64, key: &Digest, request: &CampaignRequest) -> Vec<u8> {
+    let req_bytes = encode_request_bytes(request);
+    // A request past `u32::MAX` bytes is far over the record cap, so
+    // `recordlog::frame` refuses the body before anything is written.
+    let req_len = u32::try_from(req_bytes.len()).unwrap_or(u32::MAX);
+    [&[TAG_ADMITTED][..], &job.to_le_bytes(), key, &req_len.to_le_bytes(), &req_bytes].concat()
+}
+
+/// Folds journal bytes into a [`Recovery`], counting every kind of
+/// damage in `skipped`.
+fn fold(bytes: &[u8], recovery: &mut Recovery) {
+    let scan = recordlog::scan(MAGIC, bytes);
+    recovery.skipped += scan.damaged;
     let mut entries: BTreeMap<u64, ScanEntry> = BTreeMap::new();
-    let mut off = MAGIC.len();
-    while off < bytes.len() {
-        let Some(header) = bytes.get(off..off + 8) else {
-            recovery.skipped += 1; // torn length/CRC prefix at the tail
-            break;
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            recovery.skipped += 1;
-            *trustworthy = false; // implausible framing: stop trusting
-            break;
-        }
-        let Some(body) = bytes.get(off + 8..off + 8 + len as usize) else {
-            recovery.skipped += 1; // torn tail record
-            break;
-        };
-        off += 8 + len as usize;
-        if crc32_bytes(body) != crc {
-            recovery.skipped += 1;
-            // Interior corruption (the tail would have been truncated):
-            // framing still resyncs on the next length prefix, but the
-            // file deserves quarantine.
-            *trustworthy = false;
-            continue;
-        }
+    for body in scan.payloads {
         if decode_record(body, &mut entries).is_none() {
             recovery.skipped += 1;
-            *trustworthy = false;
         }
     }
     recovery.next_job = entries.keys().next_back().map_or(0, |max| max + 1);
@@ -437,91 +355,40 @@ fn scan(bytes: &[u8], recovery: &mut Recovery, trustworthy: &mut bool) {
             Ok(request) => {
                 recovery.pending.push(PendingJob { id, key: entry.key, request });
             }
-            Err(_) => {
-                // CRC-valid but undecodable request (e.g. journalled by
-                // a different protocol revision): drop it — the client
-                // will resubmit under the current protocol.
-                recovery.skipped += 1;
-                *trustworthy = false;
-            }
+            // CRC-valid but undecodable request (e.g. journalled by a
+            // different protocol revision): drop it — the client will
+            // resubmit under the current protocol.
+            Err(_) => recovery.skipped += 1,
         }
     }
 }
 
 /// Applies one CRC-valid record body to the fold state; `None` marks a
 /// malformed body.
-fn decode_record(
-    body: &[u8],
-    entries: &mut std::collections::BTreeMap<u64, ScanEntry>,
-) -> Option<()> {
+fn decode_record(body: &[u8], entries: &mut BTreeMap<u64, ScanEntry>) -> Option<()> {
     let (&tag, rest) = body.split_first()?;
+    let (job, rest) = rest.split_first_chunk::<8>()?;
+    let job = u64::from_le_bytes(*job);
     match tag {
         TAG_ADMITTED => {
-            if rest.len() < 8 + 32 + 4 {
-                return None;
+            let (key, rest) = rest.split_first_chunk::<32>()?;
+            let (req_len, request) = rest.split_first_chunk::<4>()?;
+            if request.len() != u32::from_le_bytes(*req_len) as usize {
+                return None; // short or trailing bytes
             }
-            let job = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-            let mut key = [0u8; 32];
-            key.copy_from_slice(&rest[8..40]);
-            let req_len = u32::from_le_bytes(rest[40..44].try_into().expect("4 bytes")) as usize;
-            let req = rest.get(44..44 + req_len)?;
-            if rest.len() != 44 + req_len {
-                return None; // trailing bytes
-            }
-            entries.insert(job, ScanEntry { key, request_bytes: req.to_vec(), completed: false });
-            Some(())
+            let entry = ScanEntry { key: *key, request_bytes: request.to_vec(), completed: false };
+            entries.insert(job, entry);
         }
-        TAG_STARTED => {
-            let _job: [u8; 8] = rest.try_into().ok()?;
-            // Started is informational; recovery re-runs regardless.
-            Some(())
-        }
-        TAG_COMPLETED => {
-            if rest.len() != 8 + 32 {
-                return None;
-            }
-            let job = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
+        // Started is informational; recovery re-runs regardless.
+        TAG_STARTED if rest.is_empty() => {}
+        TAG_COMPLETED if rest.len() == 32 => {
             if let Some(entry) = entries.get_mut(&job) {
                 entry.completed = true;
             }
-            Some(())
         }
-        _ => None,
+        _ => return None,
     }
-}
-
-/// Copies a damaged journal to the first free `.quarantine[.N]` name
-/// (copy, not rename — see [`Journal::open`]).
-fn quarantine_copy(path: &Path) -> io::Result<PathBuf> {
-    let target = free_quarantine_name(path)?;
-    fs::copy(path, &target)?;
-    Ok(target)
-}
-
-/// Renames a damaged result-store entry to its quarantine name.
-fn quarantine_rename(path: &Path) -> io::Result<PathBuf> {
-    let target = free_quarantine_name(path)?;
-    fs::rename(path, &target)?;
-    Ok(target)
-}
-
-fn free_quarantine_name(path: &Path) -> io::Result<PathBuf> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::other("path has no utf-8 file name"))?;
-    for n in 1..=1000u32 {
-        let candidate = if n == 1 {
-            dir.join(format!("{name}.quarantine"))
-        } else {
-            dir.join(format!("{name}.quarantine.{n}"))
-        };
-        if !candidate.exists() {
-            return Ok(candidate);
-        }
-    }
-    Err(io::Error::other("no free quarantine name after 1000 attempts"))
+    Some(())
 }
 
 /// Lowercase hex of a digest (result-store file names).
@@ -624,6 +491,26 @@ mod tests {
         let (_, healed) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
         assert_eq!(healed.skipped, 0);
         assert_eq!(healed.pending.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_admission_survives_restart_with_the_jobs_after_it() {
+        let dir = unique_dir("nvpd_journal_large");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        // 200,000 duplicate ids: about 1.2 MB of request bytes, inside
+        // the wire's frame cap, and `resolve` dedups them, so a server
+        // admits this request.
+        let mut large = request(10);
+        large.only = Some(vec!["t1".to_string(); 200_000]);
+        for (id, req) in [request(9), large, request(11)].iter().enumerate() {
+            journal.admitted(id as u64, &request_key(req), req).unwrap();
+        }
+        drop(journal);
+        let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let ids: Vec<u64> = recovery.pending.iter().map(|job| job.id).collect();
+        assert_eq!(ids, [0, 1, 2], "every admitted job comes back");
+        assert_eq!(recovery.skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
