@@ -6,7 +6,7 @@
 //! (override the location with `NVP_BENCH_RUNNER_JSON`). The checked-in
 //! copy is the baseline; rerun after perf-sensitive changes and compare.
 //!
-//! Measured quantities (schema `nvp-bench-runner/6`):
+//! Measured quantities (schema `nvp-bench-runner/7`):
 //!
 //! * `run_all_quick.parallel_s` / `sequential_s` — best-of-3 wall time
 //!   of `run_all(ExpConfig::quick())` on the work-stealing scheduler
@@ -33,6 +33,11 @@
 //!   `sobel_tick_cap_steps_per_sec`: Sobel through
 //!   `run_bounded` under 100-cycle caps with the straddling instruction
 //!   stepped, the shape of one powered 100 µs tick at 1 MHz.
+//! * `off_phase.*_ns_per_tick` — best-of-3 time per trace tick of the
+//!   reference NVP over 10 s of constant 0 W and constant 2 µW: too
+//!   little to ever wake, so every tick is an off-phase charging tick.
+//! * `trace_csv` — best-of-3 `PowerTrace::to_csv` of one 10 s
+//!   wrist-watch profile (100,000 rows, as F1 exports five of).
 //!
 //! A warm-up run first fills the process-wide frame/kernel/trace memo
 //! caches, and the simulation cache is reset before every timed
@@ -44,6 +49,9 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
+use nvp_core::{BackupModel, BackupPolicy, IntermittentSystem, SystemConfig};
+use nvp_device::NvmTechnology;
+use nvp_energy::{harvester, PowerTrace};
 use nvp_experiments::{
     registry, reset_sim_cache, run_all, run_all_sequential, run_only, sched_stats, set_cache_dir,
     set_thread_override, thread_count, ExpConfig,
@@ -87,6 +95,26 @@ fn time_one(f: impl Fn(&ExpConfig, &std::path::Path) -> std::io::Result<()>) -> 
     let dt = t0.elapsed().as_secs_f64();
     let _ = fs::remove_dir_all(&dir);
     dt
+}
+
+/// Best-of-`REPS` nanoseconds per trace tick of the reference NVP
+/// (distributed FeRAM backup, demand policy) over `trace`.
+fn nvp_ns_per_tick(trace: &PowerTrace) -> f64 {
+    let program = assemble("start: addi r1, r1, 1\n sw r1, 0(r0)\n j start").expect("assembles");
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let mut sys = IntermittentSystem::new(
+            &program,
+            SystemConfig::default(),
+            BackupModel::distributed(NvmTechnology::Feram, 2048),
+            BackupPolicy::demand(),
+        )
+        .expect("program loads");
+        let t0 = Instant::now();
+        black_box(sys.run(trace).expect("program runs"));
+        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / trace.len() as f64);
+    }
+    best
 }
 
 /// Best-of-`REPS` throughput of `advance` on fresh machines, running
@@ -223,6 +251,21 @@ fn main() {
     let sobel_rate = steps_per_sec(|| sobel.machine().expect("loads"), step_run, 2_000_000);
     let sobel_tick_rate = steps_per_sec(|| sobel.machine().expect("loads"), tick, 2_000_000);
 
+    let off_zero_ns = nvp_ns_per_tick(&PowerTrace::constant(1e-4, 0.0, 10.0));
+    let off_trickle_ns = nvp_ns_per_tick(&PowerTrace::constant(1e-4, 2e-6, 10.0));
+
+    let profile = harvester::wrist_watch(1, 10.0);
+    let mut csv_s = f64::INFINITY;
+    let mut csv_bytes = 0;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let csv = black_box(profile.to_csv());
+        csv_s = csv_s.min(t0.elapsed().as_secs_f64());
+        csv_bytes = csv.len();
+    }
+    let csv_rows = profile.len();
+    let csv_ns_per_row = csv_s * 1e9 / csv_rows as f64;
+
     println!("bench runner/run_all_quick_parallel      {parallel_s:>12.4} s (best of {REPS}, {parallel_threads} thread(s))");
     println!("bench runner/run_all_quick_parallel_4t   {parallel_4t_s:>12.4} s (best of {REPS}, 4 threads)");
     println!("bench runner/run_all_quick_sequential    {sequential_s:>12.4} s (best of {REPS}, 1 thread)");
@@ -242,6 +285,13 @@ fn main() {
     println!("bench runner/block_steps_per_sec         {block_rate:>12.0}");
     println!("bench runner/sobel_steps_per_sec         {sobel_rate:>12.0}");
     println!("bench runner/sobel_tick_cap_steps_per_sec {sobel_tick_rate:>11.0} ({TICK_CYCLES}-cycle caps)");
+    println!(
+        "bench runner/off_phase_zero_w_ns_per_tick {off_zero_ns:>11.2} ns (0 W, best of {REPS})"
+    );
+    println!(
+        "bench runner/off_phase_2uw_ns_per_tick   {off_trickle_ns:>12.2} ns (2 µW, best of {REPS})"
+    );
+    println!("bench runner/trace_csv                   {csv_s:>12.4} s ({csv_rows} rows, {csv_ns_per_row:.1} ns/row)");
 
     let out = std::env::var("NVP_BENCH_RUNNER_JSON").map_or_else(
         |_| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runner.json")),
@@ -254,9 +304,11 @@ fn main() {
                    and a fresh-process reload served entirely from disk; f12_campaign is the \
                    cold Monte-Carlo fault sweep alone; sobel_tick_cap_steps_per_sec \
                    runs run_bounded under 100-cycle caps, one engine call plus one straddling \
-                   step per tick";
+                   step per tick; off_phase runs the reference NVP over 10 s of constant 0 W \
+                   and 2 uW, never enough to wake; trace_csv formats one 10 s wrist-watch \
+                   profile";
     let json = format!(
-        "{{\n  \"schema\": \"nvp-bench-runner/6\",\n  \"comment\": \"{comment}\",\n  \
+        "{{\n  \"schema\": \"nvp-bench-runner/7\",\n  \"comment\": \"{comment}\",\n  \
          \"host_cores\": {cores},\n  \
          \"run_all_quick\": {{\n    \"parallel_s\": {parallel_s:.4},\n    \
          \"parallel_threads\": {parallel_threads},\n    \
@@ -276,7 +328,11 @@ fn main() {
          \"simulator\": {{\n    \"tight_loop_steps_per_sec\": {tight_rate:.0},\n    \
          \"block_steps_per_sec\": {block_rate:.0},\n    \
          \"sobel_steps_per_sec\": {sobel_rate:.0},\n    \
-         \"sobel_tick_cap_steps_per_sec\": {sobel_tick_rate:.0}\n  }}\n}}\n"
+         \"sobel_tick_cap_steps_per_sec\": {sobel_tick_rate:.0}\n  }},\n  \
+         \"off_phase\": {{\n    \"zero_w_ns_per_tick\": {off_zero_ns:.2},\n    \
+         \"two_uw_ns_per_tick\": {off_trickle_ns:.2}\n  }},\n  \
+         \"trace_csv\": {{\n    \"rows\": {csv_rows},\n    \"bytes\": {csv_bytes},\n    \
+         \"best_s\": {csv_s:.5},\n    \"ns_per_row\": {csv_ns_per_row:.1}\n  }}\n}}\n"
     );
     fs::write(&out, json).expect("write BENCH_runner.json");
     println!("wrote {}", out.display());

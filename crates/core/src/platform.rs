@@ -12,8 +12,8 @@
 //! task commit) are reported to an observer, with the no-op
 //! [`NullObserver`] used when nobody is listening.
 
-use nvp_energy::units::{Seconds, Watts};
-use nvp_energy::{EnergyFrontEnd, PowerTrace, TickIncome};
+use nvp_energy::units::{Joules, Seconds, Watts};
+use nvp_energy::{EnergyFrontEnd, OffTotals, PowerTrace, TickIncome};
 use nvp_sim::{Machine, SimError};
 
 use crate::RunReport;
@@ -121,6 +121,19 @@ pub trait Platform {
 
     /// Instructions executed since the last durable commit.
     fn uncommitted(&self) -> u64;
+
+    /// Steps the longest prefix of `samples` over which the platform
+    /// stays off and only charges, returning how many samples it
+    /// consumed. Each consumed sample must leave the platform, its
+    /// front end and its report bit-identical to banking it through
+    /// the front end and calling [`tick`](Self::tick); the sample that
+    /// would wake the platform is left to that per-tick path.
+    ///
+    /// The default consumes nothing, which is always correct.
+    fn charge_run(&mut self, samples: &[f64], dt_s: f64) -> usize {
+        let _ = (samples, dt_s);
+        0
+    }
 }
 
 /// Simulates `platform` over `trace` with no observer, accumulating into
@@ -139,8 +152,11 @@ pub fn drive<P: Platform + ?Sized>(
 /// [`drive`] with a [`SimObserver`] receiving platform events.
 ///
 /// This is *the* trace loop: one tick of income through the front end,
-/// then one platform tick, for every sample. Can be called repeatedly
-/// with successive trace windows; the report accumulates.
+/// then one platform tick, for every sample — except that each run of
+/// samples over which the platform only charges goes through
+/// [`Platform::charge_run`], which computes the same bits in one loop.
+/// Can be called repeatedly with successive trace windows; the report
+/// accumulates.
 ///
 /// # Errors
 ///
@@ -151,13 +167,18 @@ pub fn drive_observed<P: Platform + ?Sized>(
     obs: &mut dyn SimObserver,
 ) -> Result<RunReport, SimError> {
     let dt = trace.dt_s();
-    for i in 0..trace.len() {
-        let income = platform.front_end_mut().tick(Watts::new(trace.power_at(i)), Seconds::new(dt));
+    let samples = trace.samples();
+    let mut i = 0;
+    while i < samples.len() {
+        i += platform.charge_run(&samples[i..], dt);
+        let Some(&p) = samples.get(i) else { break };
+        let income = platform.front_end_mut().tick(Watts::new(p), Seconds::new(dt));
         let energy = &mut platform.report_mut().energy;
         energy.harvested += income.harvested;
         energy.converted += income.converted;
         platform.tick(income, dt, obs)?;
         platform.report_mut().duration_s += dt;
+        i += 1;
     }
     let uncommitted = platform.uncommitted();
     let stored = platform.front_end().storage().energy();
@@ -167,6 +188,37 @@ pub fn drive_observed<P: Platform + ?Sized>(
     report.energy.stored_at_end = stored;
     report.energy.storage_wasted = wasted;
     Ok(*report)
+}
+
+/// A [`Platform::charge_run`] body for a platform that is off (or
+/// charging) with no time debt: runs the front end's charging run over
+/// `samples`, advancing the report's income, sleep and duration totals
+/// and the platform's off-time clock `off_s`. Returns the samples
+/// consumed.
+pub(crate) fn charge_off(
+    fe: &mut EnergyFrontEnd,
+    report: &mut RunReport,
+    off_s: &mut f64,
+    samples: &[f64],
+    dt_s: f64,
+    sleep: Watts,
+    start: Joules,
+) -> usize {
+    let energy = &mut report.energy;
+    let mut totals = OffTotals {
+        harvested: energy.harvested,
+        converted: energy.converted,
+        sleep: energy.sleep,
+        duration_s: report.duration_s,
+        off_s: *off_s,
+    };
+    let n = fe.charge_run(samples, Seconds::new(dt_s), sleep, start, &mut totals);
+    energy.harvested = totals.harvested;
+    energy.converted = totals.converted;
+    energy.sleep = totals.sleep;
+    report.duration_s = totals.duration_s;
+    *off_s = totals.off_s;
+    n
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome};
+use crate::platform::{
+    charge_off, drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome,
+};
 use crate::{BackupModel, BackupPolicy, ClockPolicy, FaultPlan, Thresholds};
 
 /// Static platform configuration shared by the intermittent platforms.
@@ -999,6 +1001,26 @@ impl Platform for IntermittentSystem {
 
     fn uncommitted(&self) -> u64 {
         self.uncommitted
+    }
+
+    /// Powered off with no time debt, a tick banks its income, finds the
+    /// start threshold unmet, sleeps `dt` and adds `dt` to the off time;
+    /// the front end's charging run does exactly that per sample.
+    fn charge_run(&mut self, samples: &[f64], dt_s: f64) -> usize {
+        if self.phase != Phase::Off || self.time_debt_s > 0.0 || dt_s <= 1e-12 {
+            return 0;
+        }
+        // An adaptive clock is re-selected from every tick's income; the
+        // last sample goes through the per-tick path so the clock the
+        // window leaves behind is the one it would have selected.
+        let samples = match self.config.clock_policy {
+            ClockPolicy::Fixed => samples,
+            ClockPolicy::Adaptive { .. } => &samples[..samples.len().saturating_sub(1)],
+        };
+        let start = self.thresholds.start;
+        let sleep = Watts::new(self.config.sleep_power_w);
+        let off = &mut self.off_since_s;
+        charge_off(&mut self.fe, &mut self.report, off, samples, dt_s, sleep, start)
     }
 }
 

@@ -15,7 +15,9 @@ use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError, DEFAULT_
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome};
+use crate::platform::{
+    charge_off, drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome,
+};
 use crate::{RunReport, TaskCost};
 
 /// Configuration for the wait-then-compute platform.
@@ -317,6 +319,20 @@ impl Platform for WaitComputeSystem {
 
     fn uncommitted(&self) -> u64 {
         self.task_progress
+    }
+
+    /// Charging with no time debt, a tick banks its income, finds the
+    /// start energy unmet and draws the supervisor's standby power; the
+    /// front end's charging run does exactly that per sample.
+    fn charge_run(&mut self, samples: &[f64], dt_s: f64) -> usize {
+        if self.phase != WaitPhase::Charging || self.time_debt_s > 0.0 || dt_s <= 1e-12 {
+            return 0;
+        }
+        let start = Joules::new(self.config.start_energy_j);
+        let sleep = Watts::new(self.config.sleep_power_w);
+        // No off-time clock here: nothing decays while the ESD charges.
+        let mut off_s = 0.0;
+        charge_off(&mut self.fe, &mut self.report, &mut off_s, samples, dt_s, sleep, start)
     }
 }
 

@@ -51,8 +51,17 @@ impl Rectifier {
         }
         // Saturating rise past the knee…
         let rise = input_w / (input_w + self.knee_w);
-        // …with a gentle droop at high power.
-        let decades_above = (input_w / (self.knee_w * 10.0)).max(1.0).log10();
+        // …with a gentle droop at high power. At or below ten times the
+        // knee, `input / (10·knee)` rounds to at most 1 and the droop term
+        // `max(x, 1).log10()` is `log10(1) = +0.0` exactly, so neither the
+        // division nor the logarithm is evaluated there. (A negative knee
+        // makes every ratio negative, which `max` also lifts to 1.)
+        let knee10 = self.knee_w * 10.0;
+        let decades_above = if knee10.is_sign_positive() && input_w > knee10 {
+            (input_w / knee10).log10()
+        } else {
+            0.0
+        };
         let droop = 1.0 - self.high_power_droop * decades_above;
         (self.peak_efficiency * rise * droop).clamp(0.0, 1.0)
     }
@@ -199,7 +208,7 @@ impl Capacitor {
     pub fn charge(&mut self, amount: Joules) -> Joules {
         debug_assert!(amount >= Joules::ZERO);
         let room = self.max_energy() - self.energy;
-        let stored = amount.min(room);
+        let stored = min_predicted(amount, room);
         self.energy += stored;
         self.wasted += amount - stored;
         stored
@@ -232,7 +241,7 @@ impl Capacitor {
     /// Draws up to `amount`, returning what was actually obtained
     /// (brown-out semantics).
     pub fn draw_up_to(&mut self, amount: Joules) -> Joules {
-        let got = amount.min(self.energy);
+        let got = min_predicted(amount, self.energy);
         self.energy -= got;
         got
     }
@@ -269,6 +278,21 @@ impl Capacitor {
     #[must_use]
     pub fn fill_fraction(&self) -> f64 {
         self.energy / self.max_energy()
+    }
+}
+
+/// `a.min(b)`, NaN handling included, written as a branch on `a <= b`.
+///
+/// `min` compiles to a select that waits for both operands; a branch
+/// that predicts well (storage rarely fills, a sleep draw rarely empties
+/// it) lets the next operation start from `a` without waiting for `b`,
+/// which halves the per-tick dependency chain through the stored energy.
+#[inline(always)]
+fn min_predicted(a: Joules, b: Joules) -> Joules {
+    if a <= b || b.get().is_nan() {
+        a
+    } else {
+        b
     }
 }
 
@@ -342,6 +366,23 @@ pub struct TickIncome {
     pub converted: Joules,
 }
 
+/// Running totals a [`charge_run`](EnergyFrontEnd::charge_run) advances
+/// once per tick, in the order the per-tick path adds to them, so every
+/// total ends bit-identical to ticking the samples one by one.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct OffTotals {
+    /// Raw harvested energy offered by the trace.
+    pub harvested: Joules,
+    /// Energy delivered past the rectifier into storage.
+    pub converted: Joules,
+    /// Standby energy drawn from storage while off.
+    pub sleep: Joules,
+    /// Simulated time, seconds.
+    pub duration_s: f64,
+    /// Time spent powered off, seconds.
+    pub off_s: f64,
+}
+
 /// The per-tick income path shared by every simulated platform:
 /// rectifier output → trickle/clip effects → capacitor charge → leakage.
 ///
@@ -390,21 +431,60 @@ impl EnergyFrontEnd {
     /// curve, the trickle and clip options, charges the capacitor, and
     /// applies leakage. Returns the tick's energy income.
     pub fn tick(&mut self, input: Watts, dt: Seconds) -> TickIncome {
-        let mut out = self.config.rectifier.output(input);
-        if out < self.config.min_charge_power {
-            // Below the storage device's minimum charging current the
-            // bank barely accepts charge.
-            out = out * self.config.trickle_efficiency;
+        let kept = self.leak_kept(dt);
+        let converted = bank(&self.config, &mut self.cap, kept, input, dt);
+        TickIncome { harvested: input * dt, converted }
+    }
+
+    /// Banks the ticks of a platform that stays powered off, then draws
+    /// its standby power: for each sample, [`tick`](Self::tick), then
+    /// `sleep · dt` drawn from storage (brown-out semantics), then one
+    /// `dt` added to both clocks in `totals`.
+    ///
+    /// Stops *before* the first sample whose banked energy would reach
+    /// `start`, leaving that tick (and everything after it) to the
+    /// per-tick path. Returns the number of samples consumed. Storage
+    /// and `totals` end bit-identical to the per-tick path, which is
+    /// what lets platforms skip their phase machine while they charge.
+    pub fn charge_run(
+        &mut self,
+        samples: &[f64],
+        dt: Seconds,
+        sleep: Watts,
+        start: Joules,
+        totals: &mut OffTotals,
+    ) -> usize {
+        let kept = self.leak_kept(dt);
+        let draw = sleep * dt;
+        let mut cap = self.cap;
+        let mut t = *totals;
+        let mut n = 0;
+        for &p in samples {
+            let mut next = cap;
+            let converted = bank(&self.config, &mut next, kept, Watts::new(p), dt);
+            if next.energy >= start {
+                break;
+            }
+            t.harvested += Watts::new(p) * dt;
+            t.converted += converted;
+            t.sleep += next.draw_up_to(draw);
+            t.duration_s += dt.get();
+            t.off_s += dt.get();
+            cap = next;
+            n += 1;
         }
-        // Spikes above the charger's input limit are clipped.
-        out = out.min(self.config.max_charge_power);
-        let converted = out * dt;
-        self.cap.charge(converted);
+        self.cap = cap;
+        *totals = t;
+        n
+    }
+
+    /// The fraction of stored energy surviving one tick of `dt`, from
+    /// the memo when the tick length is unchanged.
+    fn leak_kept(&mut self, dt: Seconds) -> f64 {
         if self.leak_memo.0 != dt {
             self.leak_memo = (dt, self.cap.leak_factor(dt));
         }
-        self.cap.leak_by(self.leak_memo.1);
-        TickIncome { harvested: input * dt, converted }
+        self.leak_memo.1
     }
 
     /// The configuration in effect.
@@ -424,6 +504,31 @@ impl EnergyFrontEnd {
     pub fn storage_mut(&mut self) -> &mut Capacitor {
         &mut self.cap
     }
+}
+
+/// The one banking step behind [`EnergyFrontEnd::tick`] and
+/// [`EnergyFrontEnd::charge_run`]: rectifier output, then the trickle
+/// and clip options, then charge and leak. Returns the converted energy.
+#[inline(always)]
+fn bank(
+    config: &FrontEndConfig,
+    cap: &mut Capacitor,
+    kept: f64,
+    input: Watts,
+    dt: Seconds,
+) -> Joules {
+    let mut out = config.rectifier.output(input);
+    if out < config.min_charge_power {
+        // Below the storage device's minimum charging current the bank
+        // barely accepts charge.
+        out = out * config.trickle_efficiency;
+    }
+    // Spikes above the charger's input limit are clipped.
+    out = out.min(config.max_charge_power);
+    let converted = out * dt;
+    cap.charge(converted);
+    cap.leak_by(kept);
+    converted
 }
 
 #[cfg(test)]
@@ -448,6 +553,90 @@ mod tests {
             let out = r.output(Watts::new(p));
             assert!(out >= prev, "output power must be monotone");
             prev = out;
+        }
+    }
+
+    /// The efficiency formula before the droop term skipped its
+    /// logarithm below ten times the knee.
+    fn efficiency_reference(r: &Rectifier, input_w: f64) -> f64 {
+        if input_w <= 0.0 {
+            return 0.0;
+        }
+        let rise = input_w / (input_w + r.knee_w);
+        let decades_above = (input_w / (r.knee_w * 10.0)).max(1.0).log10();
+        let droop = 1.0 - r.high_power_droop * decades_above;
+        (r.peak_efficiency * rise * droop).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn log_free_droop_is_bit_identical_to_the_reference() {
+        let rectifiers = [
+            Rectifier::default(),
+            Rectifier { peak_efficiency: 0.9, knee_w: 3e-7, high_power_droop: 0.05 },
+            Rectifier { peak_efficiency: 0.7, knee_w: 1e-3, high_power_droop: -0.01 },
+            Rectifier { peak_efficiency: 0.8, knee_w: -1e-6, high_power_droop: 0.02 },
+            Rectifier { peak_efficiency: 0.8, knee_w: 0.0, high_power_droop: 0.02 },
+            Rectifier { peak_efficiency: 0.8, knee_w: -0.0, high_power_droop: 0.02 },
+            Rectifier { peak_efficiency: 0.8, knee_w: f64::INFINITY, high_power_droop: 0.02 },
+            Rectifier { peak_efficiency: 0.8, knee_w: f64::NAN, high_power_droop: 0.02 },
+            Rectifier { peak_efficiency: 0.8, knee_w: 1e307, high_power_droop: 0.02 },
+            Rectifier { peak_efficiency: 0.8, knee_w: 8e-6, high_power_droop: f64::NAN },
+        ];
+        for r in rectifiers {
+            let knee10 = r.knee_w * 10.0;
+            let mut inputs = vec![
+                0.0,
+                -0.0,
+                -1e-6,
+                f64::from_bits(1),
+                f64::MIN_POSITIVE,
+                f64::from_bits((1 << 52) - 1),
+                knee10,
+                knee10.next_up(),
+                knee10.next_down(),
+                r.knee_w,
+                f64::INFINITY,
+            ];
+            // 1e-12 W to 1 W, 2000 points per decade.
+            inputs.extend((0..=24_000).map(|i| 10f64.powf(-12.0 + f64::from(i) / 2000.0)));
+            for p in inputs {
+                assert_eq!(
+                    r.efficiency(p).to_bits(),
+                    efficiency_reference(&r, p).to_bits(),
+                    "{r:?} at {p:e} W"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn predicted_min_is_min() {
+        let values = [
+            0.0,
+            -0.0,
+            1e-300,
+            f64::from_bits(1),
+            2.5e-6,
+            -3.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let is_zero = |x: f64| x.to_bits() << 1 == 0;
+        for a in values {
+            for b in values {
+                let got = min_predicted(Joules::new(a), Joules::new(b)).get();
+                if is_zero(a) && is_zero(b) {
+                    // `f64::min` may return either zero here (and does,
+                    // depending on constant folding); both charge and
+                    // draw add or subtract it from a non-negative store,
+                    // where either zero gives the same bits.
+                    assert!(is_zero(got), "min({a}, {b}) = {got}");
+                } else {
+                    assert_eq!(got.to_bits(), a.min(b).to_bits(), "min({a}, {b})");
+                }
+            }
         }
     }
 

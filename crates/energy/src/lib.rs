@@ -17,7 +17,9 @@
 //!   trade-off is the heart of the NVP-vs-wait-compute comparison,
 //! * [`EnergyFrontEnd`] — the complete per-tick income path (rectifier →
 //!   trickle/clip options → capacitor charge + leak) shared by every
-//!   simulated platform, configured by a [`FrontEndConfig`],
+//!   simulated platform, configured by a [`FrontEndConfig`], plus the
+//!   bit-identical charging run that banks a powered-off platform's
+//!   ticks in one loop,
 //! * [`units`] — dimensional newtypes ([`Joules`], [`Watts`], [`Volts`],
 //!   [`Farads`], [`Seconds`]) that make unit slips in the accounting
 //!   engine compile errors while staying bit-exact with raw `f64`.
@@ -42,7 +44,7 @@ mod stats;
 mod trace;
 pub mod units;
 
-pub use frontend::{Capacitor, EnergyFrontEnd, FrontEndConfig, Rectifier, TickIncome};
+pub use frontend::{Capacitor, EnergyFrontEnd, FrontEndConfig, OffTotals, Rectifier, TickIncome};
 pub use stats::{Histogram, OutageStats};
 pub use trace::{PowerTrace, TraceError};
 pub use units::{Farads, Joules, Seconds, Volts, Watts};

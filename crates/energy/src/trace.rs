@@ -160,15 +160,25 @@ impl PowerTrace {
     }
 
     /// Serializes as two-column CSV (`time_s,power_w`) with a header row.
+    ///
+    /// The bytes are exactly those of `format!("{:.6},{:.9}")` per row;
+    /// the fixed-point writer behind them is only faster.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 16 + 16);
-        out.push_str("time_s,power_w\n");
-        for (i, p) in self.samples.iter().enumerate() {
-            use fmt::Write;
-            writeln!(out, "{:.6},{:.9}", i as f64 * self.dt_s, p).expect("write to String");
+        const HEADER: &str = "time_s,power_w\n";
+        // A row is the time's integer digits, `.`, 6 decimals, `,`, the
+        // power's integer digits, `.`, 9 decimals and a newline.
+        let int_digits = |x: f64| if x >= 10.0 { x.log10() as usize + 1 } else { 1 };
+        let row = int_digits(self.duration_s()) + int_digits(self.peak_w()) + 19;
+        let mut out = Vec::with_capacity(HEADER.len() + self.samples.len() * row);
+        out.extend_from_slice(HEADER.as_bytes());
+        for (i, &p) in self.samples.iter().enumerate() {
+            write_fixed(&mut out, i as f64 * self.dt_s, 6);
+            out.push(b',');
+            write_fixed(&mut out, p, 9);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the CSV writer emits ASCII")
     }
 
     /// Parses the CSV produced by [`to_csv`](Self::to_csv).
@@ -276,6 +286,64 @@ impl PowerTrace {
     }
 }
 
+/// Appends `x` with `places` decimals, byte-identical to
+/// `format!("{x:.places$}")` (`places` ≤ 9).
+///
+/// A finite non-negative `x` below 1e9 is `m · 2^e` with a 53-bit
+/// integer `m`, so `x · 10^places = m · 10^places · 2^e` is an exact
+/// integer product below 2^83 shifted by `e`. The shifted-out bits are
+/// the exact remainder, which rounds half to even — the rounding the
+/// standard formatter applies to the exact decimal value. Anything else
+/// (negative or `-0.0`, non-finite, ≥ 1e9) falls back to `format!`.
+fn write_fixed(out: &mut Vec<u8>, x: f64, places: u32) {
+    debug_assert!(places <= 9);
+    if !(x.is_finite() && x.is_sign_positive() && x < 1e9) {
+        use std::io::Write;
+        write!(out, "{x:.prec$}", prec = places as usize).expect("write to Vec");
+        return;
+    }
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    // Subnormals have no implicit leading bit and the minimum exponent.
+    let (mantissa, exp) =
+        if biased == 0 { (fraction, -1074) } else { (fraction | (1 << 52), biased - 1075) };
+    let scaled = u128::from(mantissa) * u128::from(10u64.pow(places));
+    let q: u128 = if exp >= 0 {
+        // x < 1e9 < 2^30 here, so the shift cannot overflow.
+        scaled << exp
+    } else {
+        let shift = exp.unsigned_abs();
+        if shift >= 84 {
+            // scaled < 2^83 ≤ half of 2^shift: rounds to 0.
+            0
+        } else {
+            let q = scaled >> shift;
+            let rem = scaled & ((1u128 << shift) - 1);
+            let half = 1u128 << (shift - 1);
+            q + u128::from(rem > half || (rem == half && q & 1 == 1))
+        }
+    };
+    // x · 10^places < 10^18, so q fits a u64: at most 19 digits and the
+    // point, written right to left, at least `places + 1` digits.
+    let mut v = u64::try_from(q).expect("x < 1e9 keeps q below 10^18");
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    for k in 0.. {
+        if k == places && places > 0 {
+            at -= 1;
+            buf[at] = b'.';
+        }
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 && k >= places {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +365,90 @@ mod tests {
         assert!((parsed.dt_s() - t.dt_s()).abs() < 1e-12);
         for (a, b) in parsed.samples().iter().zip(t.samples()) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    /// The row format `to_csv` replaced by the fixed-point writer.
+    fn reference_csv(t: &PowerTrace) -> String {
+        let mut out = String::from("time_s,power_w\n");
+        for (i, p) in t.samples().iter().enumerate() {
+            use fmt::Write;
+            writeln!(out, "{:.6},{:.9}", i as f64 * t.dt_s(), p).expect("write to String");
+        }
+        out
+    }
+
+    /// Checks `write_fixed` against `format!` at every supported
+    /// precision.
+    fn assert_fixed_matches(x: f64) {
+        for places in 0..=9 {
+            let mut got = Vec::new();
+            write_fixed(&mut got, x, places);
+            let want = format!("{x:.prec$}", prec = places as usize);
+            assert_eq!(
+                String::from_utf8(got).unwrap(),
+                want,
+                "x = {x:e} ({:#018x}), places = {places}",
+                x.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_writer_matches_format_on_random_bit_patterns() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xF1ED);
+        for _ in 0..20_000 {
+            let bits: u64 = rng.random();
+            // Any pattern at all (mostly the format! fallback), then the
+            // same mantissa with a positive exponent from subnormal up to
+            // just past 1e9, the integer path's whole domain.
+            assert_fixed_matches(f64::from_bits(bits));
+            let exp = rng.random::<u64>() % 1055;
+            assert_fixed_matches(f64::from_bits((bits & ((1 << 52) - 1)) | (exp << 52)));
+        }
+    }
+
+    #[test]
+    fn fixed_writer_rounds_ties_like_format() {
+        // Exact binary fractions include every kind of decimal tie.
+        for n in 0..400u32 {
+            for j in 1..=12 {
+                assert_fixed_matches(f64::from(n) / f64::from(1u32 << j));
+            }
+        }
+        let mut out = Vec::new();
+        write_fixed(&mut out, 0.5, 0);
+        out.push(b' ');
+        write_fixed(&mut out, 2.5, 0);
+        out.push(b' ');
+        write_fixed(&mut out, 0.125, 2);
+        assert_eq!(String::from_utf8(out).unwrap(), "0 2 0.12", "ties round half to even");
+        for x in [0.0, -0.0, 1.5, 999_999_999.999_999_9, 1e9, f64::INFINITY, f64::NAN, -1e-7] {
+            assert_fixed_matches(x);
+        }
+        for x in [f64::MIN_POSITIVE, f64::from_bits(1), f64::from_bits((1 << 52) - 1)] {
+            assert_fixed_matches(x);
+        }
+    }
+
+    #[test]
+    fn csv_matches_format_on_every_source_trace() {
+        use crate::harvester::SourceKind;
+        for kind in SourceKind::ALL {
+            for seed in 1..=5 {
+                let t = kind.generate(seed, 10.0);
+                let csv = t.to_csv();
+                assert_eq!(csv, reference_csv(&t), "{} seed {seed}", kind.name());
+                let parsed = PowerTrace::from_csv(&csv).unwrap();
+                assert_eq!(parsed.len(), t.len());
+                assert!(parsed
+                    .samples()
+                    .iter()
+                    .zip(t.samples())
+                    .all(|(a, b)| (a - b).abs() < 1e-9));
+            }
         }
     }
 

@@ -16,10 +16,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::common::watch_trace;
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
 use crate::simcache::{sim_cache_stats, SimCacheStats};
-use crate::{f1_power_profiles, ExpConfig, Table};
+use crate::{ExpConfig, Table};
 
 /// How a job may use the simulation cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -196,7 +197,7 @@ pub(crate) fn run_campaign(
     let outputs = sched::par_map(&tasks, |task| match task {
         CampaignTask::Build(e) => CampaignOutput::Table(e.build(cfg)),
         CampaignTask::Profile(seed) => {
-            CampaignOutput::Profile(*seed, f1_power_profiles::series(cfg, *seed).to_csv())
+            CampaignOutput::Profile(*seed, watch_trace(cfg, *seed).to_csv())
         }
     });
     let mut tables = Vec::with_capacity(experiments.len());

@@ -16,11 +16,12 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::common::watch_trace;
 use crate::job::{self, CampaignRequest, CampaignResult};
 use crate::registry::registry;
 use crate::sched::sched_stats;
 use crate::simcache::{sim_cache_stats, SimCacheStats};
-use crate::{f1_power_profiles, ExpConfig, Table};
+use crate::{ExpConfig, Table};
 
 /// What a runner call produced.
 #[derive(Debug)]
@@ -66,11 +67,8 @@ pub fn run_all_sequential(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArti
     let cache_before = sim_cache_stats();
     let sched_before = sched_stats();
     let tables: Vec<Table> = registry().iter().map(|e| e.build(cfg)).collect();
-    let profiles: Vec<(u64, String)> = cfg
-        .profile_seeds
-        .iter()
-        .map(|&seed| (seed, f1_power_profiles::series(cfg, seed).to_csv()))
-        .collect();
+    let profiles: Vec<(u64, String)> =
+        cfg.profile_seeds.iter().map(|&seed| (seed, watch_trace(cfg, seed).to_csv())).collect();
     let result = CampaignResult {
         tables,
         profiles,
