@@ -25,7 +25,8 @@ use nvp_energy::harvester::SourceKind;
 use nvp_energy::PowerTrace;
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
-use crate::simcache::{self, Digest, KeyHasher};
+use crate::sha256::Digest;
+use crate::simcache::{self, KeyHasher};
 use crate::ExpConfig;
 
 /// Volatile state bits of the NV16 core (registers + PC + pipeline FFs),
@@ -175,8 +176,9 @@ pub(crate) fn run_nvp_with(
     simcache::cached_run(key.finish(), || {
         let mut system =
             IntermittentSystem::new(inst.program(), sys, backup, policy).expect("platform builds");
-        system.run(trace).expect("workload does not fault")
+        system.run(trace).expect("workload does not fault").into()
     })
+    .report
 }
 
 /// Runs the wait-then-compute baseline on the standard kernel for
@@ -193,8 +195,9 @@ pub(crate) fn run_wait(cfg: &ExpConfig, kind: KernelKind, trace: &SimTrace) -> R
     key.digest(trace.digest());
     simcache::cached_run(key.finish(), || {
         let mut system = WaitComputeSystem::new(inst.program(), wcfg).expect("platform builds");
-        system.run(trace).expect("workload does not fault")
+        system.run(trace).expect("workload does not fault").into()
     })
+    .report
 }
 
 /// Runs the software-checkpointing baseline (Hibernus-class: volatile

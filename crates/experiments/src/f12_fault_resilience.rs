@@ -12,16 +12,20 @@
 //! *Anchor: reconstructed — the survey has no published fault-injection
 //! figure; rates and retention profile are framework choices.*
 //!
-//! Unlike every other experiment this one does **not** route through
-//! the simulation cache: each trial needs the observer event stream
-//! (for recovery latencies), and per-trial fault seeds make every run
-//! unique anyway. Determinism is preserved the same way as everywhere
-//! else — each trial is a pure function of `(program, config, plan,
-//! trace)` and the internal `par_map` returns results in input order,
-//! so the table is bit-identical across reruns and thread counts
-//! (pinned by `tests/fault_resilience.rs`).
+//! Every trial goes through the simulation cache like any other run. A
+//! trial is a pure function of `(program, style configuration, fault
+//! plan, trace)`, so it is keyed on exactly those inputs under its own
+//! run kind (`nvp-simcache/1:f12-trial`), and the cached value carries
+//! the recovery latencies next to the report (the observer event stream
+//! itself is not kept). A warm rerun therefore simulates no trial, and
+//! the seed-independent fault-free controls are shared by campaigns
+//! with different fault seeds. Determinism is preserved the same way as
+//! everywhere else — the internal `par_map` returns results in input
+//! order and cached values round-trip bit-exactly, so the table is
+//! bit-identical across reruns, thread counts and cache states (pinned
+//! by `tests/fault_resilience.rs` and `tests/persist_cache.rs`).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use nvp_core::{
     BackupModel, BackupPolicy, FaultPlan, IntermittentSystem, RunReport, SimEvent, SimObserver,
@@ -35,6 +39,7 @@ use serde::{Deserialize, Serialize};
 use crate::common::{kernel, system_config_for, watch_trace, STATE_BITS};
 use crate::report::{fmt, fmt_ratio};
 use crate::sched;
+use crate::simcache::{self, KeyHasher, SimResult};
 use crate::{ExpConfig, Table};
 
 /// Injected fault rates (tear probability per backup; restore failures
@@ -178,18 +183,16 @@ fn recovery_latencies_ms(events: &[(f64, SimEvent)]) -> Vec<f64> {
     out
 }
 
-/// Runs one seeded trial, returning the report and its recovery
-/// latencies. Deliberately bypasses the simulation cache (see module
-/// docs). Every trial shares one prebuilt machine image: all three
-/// styles run the same program under the same cycle/energy models, so
-/// decode and block partitioning happen once per campaign, not per
-/// trial.
+/// Runs one seeded trial on the campaign's shared machine image: all
+/// three styles run the same program under the same cycle/energy
+/// models, so decode and block partitioning happen at most once per
+/// campaign. Returns the report and the trial's recovery latencies.
 fn run_trial(
     image: &Arc<MachineImage>,
     trace: &nvp_energy::PowerTrace,
     style: &Style,
     plan: FaultPlan,
-) -> (RunReport, Vec<f64>) {
+) -> SimResult {
     let mut system = IntermittentSystem::with_faults_on_image(
         image,
         style.sys,
@@ -199,7 +202,7 @@ fn run_trial(
     );
     let mut log = EventLog::default();
     let report = system.run_observed(trace, &mut log).expect("workload does not fault");
-    (report, recovery_latencies_ms(&log.events))
+    SimResult { report, latencies_ms: recovery_latencies_ms(&log.events) }
 }
 
 /// Runs the full campaign: every style × fault rate × trial.
@@ -208,14 +211,28 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
     let styles = styles(&inst);
-    // One shared image for the whole campaign: the styles differ only
-    // in backup hardware and data-memory volatility, never in the
+    // One shared image for the whole campaign, built on the first cache
+    // miss (a warm campaign never builds it): the styles differ only in
+    // backup hardware and data-memory volatility, never in the
     // image-relevant configuration (memory size, cycle/energy models).
     let sys = styles[0].sys;
-    let image = Arc::new(
-        MachineImage::build(inst.program(), sys.dmem_words, sys.cycle_model, sys.energy_model)
-            .expect("kernel image builds"),
-    );
+    let image_cell = OnceLock::new();
+    let image = || {
+        image_cell.get_or_init(|| {
+            Arc::new(
+                MachineImage::build(
+                    inst.program(),
+                    sys.dmem_words,
+                    sys.cycle_model,
+                    sys.energy_model,
+                )
+                .expect("kernel image builds"),
+            )
+        })
+    };
+    // Every trial key starts with the program, hashed once here.
+    let mut program_key = KeyHasher::new("nvp-simcache/1:f12-trial");
+    program_key.program(inst.program());
 
     // Flattened work grid; the fault-free control runs one trial (the
     // disabled plan is deterministic, so further trials are identical).
@@ -228,10 +245,17 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             }
         }
     }
-    // One scheduler task per Monte-Carlo trial, all sharing one image.
+    // One scheduler task per Monte-Carlo trial, each a cached run.
     let results = sched::par_map(&grid, |&(si, ri, trial)| {
+        let style = &styles[si];
         let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
-        run_trial(&image, &trace, &styles[si], plan)
+        let mut key = program_key.clone();
+        key.debug(&style.sys);
+        key.debug(&style.backup);
+        key.debug(&style.policy);
+        key.debug(&plan);
+        key.digest(trace.digest());
+        simcache::cached_run(key.finish(), || run_trial(image(), &trace, style, plan))
     });
 
     let mut out = Vec::new();
@@ -242,9 +266,9 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             .iter()
             .zip(&results)
             .find(|((s, r, _), _)| *s == si && FAULT_RATES[*r] <= 0.0)
-            .map_or(0.0, |(_, (report, _))| report.committed as f64);
+            .map_or(0.0, |(_, trial)| trial.report.committed as f64);
         for (ri, &rate) in FAULT_RATES.iter().enumerate() {
-            let cell: Vec<&(RunReport, Vec<f64>)> = grid
+            let cell: Vec<&SimResult> = grid
                 .iter()
                 .zip(&results)
                 .filter(|((s, r, _), _)| *s == si && *r == ri)
@@ -252,12 +276,12 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
                 .collect();
             let n = cell.len();
             let mean = |f: &dyn Fn(&RunReport) -> u64| {
-                cell.iter().map(|(rep, _)| f(rep) as f64).sum::<f64>() / n as f64
+                cell.iter().map(|t| f(&t.report) as f64).sum::<f64>() / n as f64
             };
             let mean_committed = mean(&|r| r.committed);
             let mean_surviving = mean(&|r| r.committed_surviving());
             let latencies: Vec<f64> =
-                cell.iter().flat_map(|(_, lat)| lat.iter().copied()).collect();
+                cell.iter().flat_map(|t| t.latencies_ms.iter().copied()).collect();
             out.push(Row {
                 style: style.name.to_owned(),
                 fault_rate: rate,
@@ -266,10 +290,10 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
                 mean_surviving,
                 fp_ratio: if baseline > 0.0 { mean_surviving / baseline } else { 0.0 },
                 mean_lost: mean(&|r| r.committed_lost),
-                torn: cell.iter().map(|(r, _)| r.backups_torn).sum(),
-                retries: cell.iter().map(|(r, _)| r.backup_retries).sum(),
-                corrupt: cell.iter().map(|(r, _)| r.restores_corrupt).sum(),
-                safe_modes: cell.iter().map(|(r, _)| r.safe_mode_entries).sum(),
+                torn: cell.iter().map(|t| t.report.backups_torn).sum(),
+                retries: cell.iter().map(|t| t.report.backup_retries).sum(),
+                corrupt: cell.iter().map(|t| t.report.restores_corrupt).sum(),
+                safe_modes: cell.iter().map(|t| t.report.safe_mode_entries).sum(),
                 recovery_ms_mean: if latencies.is_empty() {
                     0.0
                 } else {

@@ -42,6 +42,8 @@ pub mod client;
 mod common;
 mod config;
 pub mod feasibility;
+#[cfg(test)]
+mod fingerprint;
 pub mod job;
 mod par;
 mod persist;
@@ -50,6 +52,7 @@ mod registry;
 mod report;
 mod runner;
 mod sched;
+mod sha256;
 mod simcache;
 pub mod wire;
 

@@ -13,13 +13,16 @@
 //! What is this module's own:
 //!
 //! * the shard file `<xx>.log` (`xx` = first key byte, hex) and its
-//!   magic `b"nvpsimc1"` — the `1` is the schema version, bumped
-//!   whenever the `RunReport` layout changes so stale caches are
-//!   skipped wholesale rather than misdecoded;
-//! * the record payload, `key (32 bytes) ++ RunReport (24 × 8-byte
-//!   fields, le)`, with floats stored as IEEE-754 bit patterns, so a
-//!   reloaded `RunReport` is bit-identical to the one computed and
-//!   artifacts built from cache hits stay byte-identical to cold runs.
+//!   magic `b"nvpsimc2"` — the `2` is the schema version, bumped
+//!   whenever the record layout changes so stale caches are skipped
+//!   wholesale rather than misdecoded (`nvpsimc1` shards, which held
+//!   fixed-size `RunReport`-only records, are quarantined on load);
+//! * the variable-length record payload, `key (32 bytes) ++ RunReport
+//!   (24 × 8-byte fields) ++ latency count (8 bytes) ++ latencies
+//!   (8 bytes each)`, little-endian, with floats stored as IEEE-754 bit
+//!   patterns, so a reloaded [`SimResult`] is bit-identical to the one
+//!   computed and artifacts built from cache hits stay byte-identical
+//!   to cold runs.
 //!
 //! Loading is best-effort: a damaged cache can cost time, never
 //! correctness. A shard showing *any* damage (a torn tail, a CRC
@@ -41,22 +44,23 @@ use nvp_core::RunReport;
 use nvp_energy::units::Joules;
 
 use crate::recordlog;
-use crate::simcache::Digest;
+use crate::sha256::Digest;
+use crate::simcache::SimResult;
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
-const MAGIC: &[u8; 8] = b"nvpsimc1";
+const MAGIC: &[u8; 8] = b"nvpsimc2";
 
 /// Serialized `RunReport`: 2 + 13 + 9 eight-byte fields.
 const REPORT_BYTES: usize = 24 * 8;
 
-/// Payload length of a well-formed record: key + report.
-const PAYLOAD_BYTES: usize = 32 + REPORT_BYTES;
+/// Payload length of a record with no latencies: key + report + count.
+const FIXED_BYTES: usize = 32 + REPORT_BYTES + 8;
 
 /// What [`PersistentStore::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub(crate) struct LoadOutcome {
-    /// Every valid `(key, report)` record, shard-major in key order.
-    pub records: Vec<(Digest, RunReport)>,
+    /// Every valid `(key, value)` record, shard-major in file order.
+    pub records: Vec<(Digest, SimResult)>,
     /// Records (or whole unreadable/foreign files) dropped during the
     /// scan — corruption tolerated, never served.
     pub skipped: u64,
@@ -133,17 +137,18 @@ impl PersistentStore {
     }
 
     /// Appends one record to the key's shard.
-    pub(crate) fn append(&self, key: &Digest, report: &RunReport) -> io::Result<()> {
+    pub(crate) fn append(&self, key: &Digest, value: &SimResult) -> io::Result<()> {
         let shard = self.dir.join(format!("{:02x}.log", key[0]));
-        let record = recordlog::frame(&encode_payload(key, report))?;
+        let record = recordlog::frame(&encode_payload(key, value))?;
         recordlog::append(&mut recordlog::open_append(&shard, MAGIC)?, &record, false)
     }
 }
 
-/// Serializes `key ++ report` with every numeric field little-endian
-/// and floats as IEEE-754 bit patterns.
-fn encode_payload(key: &Digest, report: &RunReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PAYLOAD_BYTES);
+/// Serializes `key ++ report ++ latency count ++ latencies` with every
+/// numeric field little-endian and floats as IEEE-754 bit patterns.
+fn encode_payload(key: &Digest, value: &SimResult) -> Vec<u8> {
+    let (report, latencies) = (&value.report, &value.latencies_ms);
+    let mut out = Vec::with_capacity(FIXED_BYTES + 8 * latencies.len());
     out.extend_from_slice(key);
     let mut f = |v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
     f(report.duration_s);
@@ -176,14 +181,21 @@ fn encode_payload(key: &Digest, report: &RunReport) -> Vec<u8> {
     ] {
         out.extend_from_slice(&j.get().to_bits().to_le_bytes());
     }
-    debug_assert_eq!(out.len(), PAYLOAD_BYTES);
+    out.extend_from_slice(&(latencies.len() as u64).to_le_bytes());
+    for &ms in latencies {
+        out.extend_from_slice(&ms.to_bits().to_le_bytes());
+    }
+    debug_assert_eq!(out.len(), FIXED_BYTES + 8 * latencies.len());
     out
 }
 
-/// Inverse of [`encode_payload`]; `None` if the payload has the wrong
-/// size for schema `nvpsimc1`.
-fn decode_payload(payload: &[u8]) -> Option<(Digest, RunReport)> {
-    if payload.len() != PAYLOAD_BYTES {
+/// Inverse of [`encode_payload`]; `None` unless the payload is exactly
+/// as long as its latency count says (schema `nvpsimc2`).
+fn decode_payload(payload: &[u8]) -> Option<(Digest, SimResult)> {
+    let tail = payload.len().checked_sub(FIXED_BYTES)?;
+    let count = &payload[FIXED_BYTES - 8..FIXED_BYTES];
+    let count = u64::from_le_bytes(count.try_into().expect("8 bytes"));
+    if tail % 8 != 0 || (tail / 8) as u64 != count {
         return None;
     }
     let mut key = [0u8; 32];
@@ -221,7 +233,12 @@ fn decode_payload(payload: &[u8]) -> Option<(Digest, RunReport)> {
     report.energy.regulator = Joules::new(f64::from_bits(next()));
     report.energy.stored_at_end = Joules::new(f64::from_bits(next()));
     report.energy.storage_wasted = Joules::new(f64::from_bits(next()));
-    Some((key, report))
+    next(); // the latency count, checked above
+    let latencies_ms = payload[FIXED_BYTES..]
+        .chunks_exact(8)
+        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+        .collect();
+    Some((key, SimResult { report, latencies_ms }))
 }
 
 #[cfg(test)]
@@ -235,7 +252,7 @@ mod tests {
         std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
     }
 
-    fn sample_report(salt: u64) -> RunReport {
+    fn sample(salt: u64) -> SimResult {
         let mut r = RunReport {
             duration_s: 2.0 + salt as f64 * 0.125,
             on_time_s: 1.0,
@@ -248,7 +265,7 @@ mod tests {
         };
         r.energy.compute = Joules::new(1e-6 + salt as f64 * 1e-9);
         r.energy.harvested = Joules::new(2e-6);
-        r
+        r.into()
     }
 
     fn key_of(b: u8) -> Digest {
@@ -260,12 +277,28 @@ mod tests {
 
     #[test]
     fn payload_round_trips_bit_exactly() {
-        let report = sample_report(9);
+        let mut value = sample(9);
         let key = key_of(0xAB);
-        let (k2, r2) = decode_payload(&encode_payload(&key, &report)).unwrap();
-        assert_eq!(k2, key);
-        assert_eq!(r2, report);
-        assert_eq!(r2.energy.compute.get().to_bits(), report.energy.compute.get().to_bits());
+        for latencies_ms in [vec![], vec![0.1 + 0.2, -0.0, f64::MAX, 3.25]] {
+            value.latencies_ms = latencies_ms;
+            let payload = encode_payload(&key, &value);
+            assert_eq!(payload.len(), FIXED_BYTES + 8 * value.latencies_ms.len());
+            let (k2, v2) = decode_payload(&payload).unwrap();
+            assert_eq!(k2, key);
+            assert_eq!(v2.report, value.report);
+            let bits = |v: &SimResult| -> Vec<u64> {
+                v.latencies_ms.iter().map(|ms| ms.to_bits()).collect()
+            };
+            assert_eq!(bits(&v2), bits(&value));
+            assert_eq!(
+                v2.report.energy.compute.get().to_bits(),
+                value.report.energy.compute.get().to_bits()
+            );
+            // A payload whose length disagrees with its latency count is
+            // rejected, never misread.
+            assert!(decode_payload(&payload[..payload.len() - 8]).is_none());
+            assert!(decode_payload(&[payload.as_slice(), &[0; 8]].concat()).is_none());
+        }
     }
 
     #[test]
@@ -275,12 +308,12 @@ mod tests {
         assert!(loaded.records.is_empty());
         for i in 0..20u8 {
             // Spread over a few shards (keys differing in byte 0).
-            store.append(&key_of(i % 4), &sample_report(u64::from(i))).unwrap();
+            store.append(&key_of(i % 4), &sample(u64::from(i))).unwrap();
         }
         let (_, reloaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(reloaded.records.len(), 20);
         assert_eq!(reloaded.skipped, 0);
-        assert!(reloaded.records.iter().any(|(k, r)| k[0] == 2 && r.committed == 1002));
+        assert!(reloaded.records.iter().any(|(k, r)| k[0] == 2 && r.report.committed == 1002));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -289,15 +322,15 @@ mod tests {
         let dir = unique_dir("nvp_persist_trunc");
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x11);
-        store.append(&key, &sample_report(1)).unwrap();
-        store.append(&key, &sample_report(2)).unwrap();
+        store.append(&key, &sample(1)).unwrap();
+        store.append(&key, &sample(2)).unwrap();
         let shard = dir.join("11.log");
         let bytes = fs::read(&shard).unwrap();
         // Chop the second record in half, as a crash mid-append would.
-        fs::write(&shard, &bytes[..bytes.len() - PAYLOAD_BYTES / 2]).unwrap();
+        fs::write(&shard, &bytes[..bytes.len() - FIXED_BYTES / 2]).unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(loaded.records.len(), 1, "intact prefix record must survive");
-        assert_eq!(loaded.records[0].1.committed, sample_report(1).committed);
+        assert_eq!(loaded.records[0].1.report.committed, sample(1).report.committed);
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
         assert!(dir.join("11.log.quarantine").exists(), "damaged shard renamed aside");
@@ -314,21 +347,21 @@ mod tests {
         let dir = unique_dir("nvp_persist_crc");
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x22);
-        store.append(&key, &sample_report(1)).unwrap();
-        store.append(&key, &sample_report(2)).unwrap();
-        store.append(&key, &sample_report(3)).unwrap();
+        store.append(&key, &sample(1)).unwrap();
+        store.append(&key, &sample(2)).unwrap();
+        store.append(&key, &sample(3)).unwrap();
         let shard = dir.join("22.log");
         let mut bytes = fs::read(&shard).unwrap();
         // Flip one payload byte inside the *middle* record.
-        let middle_payload = MAGIC.len() + (8 + PAYLOAD_BYTES) + 8 + 40;
+        let middle_payload = MAGIC.len() + (8 + FIXED_BYTES) + 8 + 40;
         bytes[middle_payload] ^= 0xFF;
         fs::write(&shard, &bytes).unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(loaded.records.len(), 2, "records around the corrupt one must survive");
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
-        let committed: Vec<u64> = loaded.records.iter().map(|(_, r)| r.committed).collect();
-        assert_eq!(committed, vec![sample_report(1).committed, sample_report(3).committed]);
+        let committed: Vec<u64> = loaded.records.iter().map(|(_, r)| r.report.committed).collect();
+        assert_eq!(committed, vec![sample(1).report.committed, sample(3).report.committed]);
         // Both survivors were healed into a fresh shard.
         let (_, healed) = PersistentStore::open(&dir).unwrap();
         assert_eq!(healed.records.len(), 2);
@@ -342,7 +375,7 @@ mod tests {
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x44);
         for round in 1..=3u64 {
-            store.append(&key, &sample_report(round)).unwrap();
+            store.append(&key, &sample(round)).unwrap();
             let shard = dir.join("44.log");
             let mut bytes = fs::read(&shard).unwrap();
             let last = bytes.len() - 1;
@@ -361,7 +394,7 @@ mod tests {
     fn foreign_and_stale_schema_files_are_skipped_wholesale() {
         let dir = unique_dir("nvp_persist_foreign");
         let (store, _) = PersistentStore::open(&dir).unwrap();
-        store.append(&key_of(0x33), &sample_report(1)).unwrap();
+        store.append(&key_of(0x33), &sample(1)).unwrap();
         fs::write(dir.join("zz.log"), b"nvpsimc0old-schema-bytes").unwrap();
         fs::write(dir.join("not-a-cache.log"), b"short").unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
@@ -371,6 +404,40 @@ mod tests {
         assert!(dir.join("zz.log.quarantine").exists());
         assert!(dir.join("not-a-cache.log.quarantine").exists());
         assert!(dir.join("33.log").exists(), "healthy shard untouched");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema_1_shards_are_quarantined_never_misdecoded() {
+        let dir = unique_dir("nvp_persist_schema1");
+        fs::create_dir_all(&dir).unwrap();
+        // A well-formed shard of the previous schema: `nvpsimc1` magic
+        // and CRC-valid `key ++ RunReport` records, 8 bytes short of
+        // this schema's smallest payload.
+        let mut old = b"nvpsimc1".to_vec();
+        for i in 0..3u8 {
+            let payload = encode_payload(&key_of(0x55), &sample(u64::from(i)));
+            old.extend(recordlog::frame(&payload[..FIXED_BYTES - 8]).unwrap());
+        }
+        fs::write(dir.join("55.log"), &old).unwrap();
+        let (store, loaded) = PersistentStore::open(&dir).unwrap();
+        assert!(loaded.records.is_empty(), "no record of the old schema is served");
+        assert_eq!(loaded.skipped, 1);
+        assert_eq!(loaded.quarantined, 1);
+        assert_eq!(fs::read(dir.join("55.log.quarantine")).unwrap(), old, "evidence kept");
+        // Even under this schema's magic, the old payload shape decodes
+        // to nothing.
+        let mut forged = MAGIC.to_vec();
+        forged.extend_from_slice(&old[MAGIC.len()..]);
+        fs::write(dir.join("56.log"), &forged).unwrap();
+        let (_, reloaded) = PersistentStore::open(&dir).unwrap();
+        assert!(reloaded.records.is_empty());
+        assert_eq!(reloaded.skipped, 3);
+        // The healed shard takes new records as usual.
+        store.append(&key_of(0x55), &sample(7)).unwrap();
+        let (_, healed) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(healed.records.len(), 1);
+        assert_eq!(healed.quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -386,12 +453,12 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..50u64 {
-                    a.append(&key_of((i % 3) as u8), &sample_report(i)).unwrap();
+                    a.append(&key_of((i % 3) as u8), &sample(i)).unwrap();
                 }
             });
             s.spawn(|| {
                 for i in 50..100u64 {
-                    b.append(&key_of((i % 3) as u8), &sample_report(i)).unwrap();
+                    b.append(&key_of((i % 3) as u8), &sample(i)).unwrap();
                 }
             });
         });
@@ -399,7 +466,8 @@ mod tests {
         assert_eq!(loaded.skipped, 0, "interleaved whole-record appends never corrupt");
         assert_eq!(loaded.quarantined, 0);
         assert_eq!(loaded.records.len(), 100);
-        let mut committed: Vec<u64> = loaded.records.iter().map(|(_, r)| r.committed).collect();
+        let mut committed: Vec<u64> =
+            loaded.records.iter().map(|(_, r)| r.report.committed).collect();
         committed.sort_unstable();
         let expect: Vec<u64> = (0..100).map(|i| 1000 + i).collect();
         assert_eq!(committed, expect);

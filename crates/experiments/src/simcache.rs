@@ -2,31 +2,45 @@
 //!
 //! The evaluation re-runs many *identical* simulations: F4 replays F3's
 //! sobel/wearable run to measure backup overheads, F8 replays it for
-//! frame latency, and every sweep (F5/F6/F10/F11) includes the default
-//! operating point that other experiments also simulate. Each run is a
-//! pure function of `(program, system configuration, backup model,
-//! policy, power trace)`, so a process-wide cache keyed on a SHA-256
-//! digest of exactly those inputs deduplicates them.
+//! frame latency, every sweep (F5/F6/F10/F11) includes the default
+//! operating point that other experiments also simulate, and F12's
+//! fault-free control trials do not depend on the fault seed. Each run
+//! is a pure function of `(program, system configuration, backup model,
+//! policy, fault plan, power trace)`, so a process-wide cache keyed on a
+//! SHA-256 digest of exactly those inputs deduplicates them.
 //!
 //! Key derivation (see `DESIGN.md` § Performance):
 //!
+//! * a schema + run-kind tag (`nvp-simcache/1:nvp`, `…:wait`,
+//!   `…:f12-trial`), so runs of different kinds never collide;
+//! * the **model fingerprint** ([`MODEL_FINGERPRINT`], derived by
+//!   `build.rs` from every model source file and the compiler
+//!   version), mixed in through [`versioned`] together with the tag, so
+//!   a build with different simulation semantics never addresses a
+//!   record an older build wrote;
 //! * the program image: entry point, code words, initialized data
 //!   segments — hashed directly;
 //! * the platform configuration: the `Debug` rendering of
-//!   `SystemConfig`/`WaitComputeConfig`, `BackupModel`, and
-//!   `BackupPolicy`. Rust's `f64` `Debug` output is the shortest
-//!   round-trip representation, so distinct configurations always
-//!   render distinctly;
+//!   `SystemConfig`/`WaitComputeConfig`, `BackupModel`, `BackupPolicy`
+//!   and (for F12 trials) `FaultPlan`. Rust's `f64` `Debug` output is
+//!   the shortest round-trip representation, so distinct configurations
+//!   always render distinctly;
 //! * the power trace: dt, length, and every sample's bit pattern,
-//!   hashed **once per trace** (`trace_digest`) and reused across runs;
-//! * a schema tag + run-kind tag, so NVP and wait-compute runs of the
-//!   same inputs can never collide.
+//!   hashed **once per trace** (`trace_digest`) and reused across runs.
 //!
-//! Values are `RunReport` (plain `Copy` data). The cache map is a
-//! `BTreeMap` for deterministic internal order; the lock is *not* held
-//! while a missing value is computed, so concurrent experiments never
-//! serialize on a simulation — at worst two threads race to fill the
-//! same key with bit-identical reports.
+//! Values are [`SimResult`]s: the `RunReport` plus the recovery-latency
+//! vector an F12 trial extracts from its event stream (empty for every
+//! other run kind). The cache map is a `BTreeMap` for deterministic
+//! internal order. Fills are **single-flight**: the first thread to miss
+//! a key installs an in-flight slot and computes without holding the
+//! map lock, so distinct simulations run in parallel, while later
+//! threads asking for the same key wait on a condition variable instead
+//! of recomputing. Every key is therefore simulated at most once per
+//! process, and the hit/miss counts are a pure function of the work
+//! requested, whatever the worker count. A simulation never re-enters
+//! the cache or the scheduler, so a waiter always waits on a thread
+//! that can finish; a fill that panics clears its slot on unwind, so
+//! waiters retry instead of hanging.
 //!
 //! ## Persistence
 //!
@@ -39,150 +53,50 @@
 //! `NVP_CACHE_DIR` environment variable; with neither, the cache stays
 //! memory-only and behaves exactly as before. Library users and tests
 //! therefore never touch the filesystem unless they opt in. Every
-//! first-time insert is appended to the log; reports loaded from disk
-//! are bit-identical to recomputed ones (the key is a SHA-256 of every
-//! simulation input and the value encoding round-trips float bit
-//! patterns), so golden digests cannot tell a warm-disk run from a
-//! cold one.
+//! computed value is appended to the log; values loaded from disk are
+//! bit-identical to recomputed ones (the key is a SHA-256 of every
+//! simulation input and the model itself, and the value encoding
+//! round-trips float bit patterns), so golden digests cannot tell a
+//! warm-disk run from a cold one.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use nvp_core::RunReport;
 use nvp_energy::PowerTrace;
 
 use crate::persist::PersistentStore;
+use crate::sha256::{Digest, Sha256};
 
-/// A 256-bit content digest (cache key).
-pub(crate) type Digest = [u8; 32];
+/// Hex SHA-256 over every source file that can change a simulation
+/// result, plus `rustc -V` (computed by `build.rs`).
+pub(crate) const MODEL_FINGERPRINT: &str = env!("NVP_MODEL_FINGERPRINT");
 
-/// Minimal incremental FIPS 180-4 SHA-256 (the workspace is offline and
-/// takes no hashing dependency); validated against the standard test
-/// vectors in this module's tests.
-pub(crate) struct Sha256 {
-    h: [u32; 8],
-    buf: [u8; 64],
-    buf_len: usize,
-    total: u64,
-}
-
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-fn compress(h: &mut [u32; 8], block: &[u8]) {
-    let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+/// Starts a digest under a schema `tag`, versioned by the model
+/// fingerprint. Every cache key, trace digest and `nvpd` idempotency
+/// key begins here, so none of them survives a change to the model.
+pub(crate) fn versioned(tag: &str) -> Sha256 {
+    let mut h = Sha256::new();
+    for field in [tag, MODEL_FINGERPRINT] {
+        h.update(&(field.len() as u64).to_le_bytes());
+        h.update(field.as_bytes());
     }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        hh = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-    for (s, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-        *s = s.wrapping_add(v);
-    }
-}
-
-impl Sha256 {
-    pub(crate) fn new() -> Sha256 {
-        Sha256 {
-            h: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buf: [0; 64],
-            buf_len: 0,
-            total: 0,
-        }
-    }
-
-    pub(crate) fn update(&mut self, mut data: &[u8]) {
-        self.total = self.total.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = data.len().min(64 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len < 64 {
-                // `data` is now empty; a partial buffer must survive
-                // until the next update (the remainder path below
-                // would clobber `buf_len`).
-                return;
-            }
-            let block = self.buf;
-            compress(&mut self.h, &block);
-            self.buf_len = 0;
-        }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            compress(&mut self.h, block);
-        }
-        let rest = chunks.remainder();
-        self.buf[..rest.len()].copy_from_slice(rest);
-        self.buf_len = rest.len();
-    }
-
-    pub(crate) fn finalize(mut self) -> Digest {
-        let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // The length block must not count toward the message length,
-        // but `update` already captured `total` before padding began.
-        let tail = bit_len.to_be_bytes();
-        let take = 64 - self.buf_len;
-        self.buf[self.buf_len..].copy_from_slice(&tail[..take.min(8)]);
-        let block = self.buf;
-        compress(&mut self.h, &block);
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
+    h
 }
 
 /// Builds a cache key from length-prefixed, type-tagged fields.
+#[derive(Clone)]
 pub(crate) struct KeyHasher(Sha256);
 
 impl KeyHasher {
     /// Starts a key with a schema + run-kind tag (e.g.
-    /// `"nvp-simcache/1:nvp"`).
+    /// `"nvp-simcache/1:nvp"`), versioned by the model fingerprint.
     pub(crate) fn new(tag: &str) -> KeyHasher {
-        let mut h = KeyHasher(Sha256::new());
-        h.str(tag);
-        h
+        KeyHasher(versioned(tag))
     }
 
     fn len(&mut self, n: usize) {
@@ -234,8 +148,7 @@ impl KeyHasher {
 /// Digest of a power trace: dt, length, and every sample's bit pattern.
 /// Computed once per trace and reused for every run over it.
 pub(crate) fn trace_digest(trace: &PowerTrace) -> Digest {
-    let mut h = Sha256::new();
-    h.update(b"nvp-simcache/1:trace");
+    let mut h = versioned("nvp-simcache/1:trace");
     h.update(&trace.dt_s().to_bits().to_le_bytes());
     h.update(&(trace.len() as u64).to_le_bytes());
     for &sample in trace.samples() {
@@ -244,16 +157,34 @@ pub(crate) fn trace_digest(trace: &PowerTrace) -> Digest {
     h.finalize()
 }
 
+/// One cached simulation outcome.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SimResult {
+    /// The run's report.
+    pub report: RunReport,
+    /// Recovery latencies in milliseconds, for F12 fault trials; empty
+    /// for every other run kind.
+    pub latencies_ms: Vec<f64>,
+}
+
+impl From<RunReport> for SimResult {
+    fn from(report: RunReport) -> SimResult {
+        SimResult { report, latencies_ms: Vec::new() }
+    }
+}
+
 /// Cache hit/miss counters for one runner invocation (or the whole
 /// process, via [`sim_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCacheStats {
-    /// Simulations answered from the cache (in-memory index).
+    /// Simulations answered from the cache (in-memory index), including
+    /// requests that waited for another thread's in-flight fill.
     pub hits: u64,
     /// The subset of [`hits`](Self::hits) whose report was loaded from
     /// the persistent store rather than computed by this process.
     pub disk_hits: u64,
-    /// Simulations actually executed (and then cached).
+    /// Simulations actually executed (and then cached): exactly one per
+    /// distinct key.
     pub misses: u64,
     /// Reports this process appended to the persistent store.
     pub persisted: u64,
@@ -278,13 +209,47 @@ impl SimCacheStats {
     }
 }
 
-/// Where a cached report came from, so disk-served hits are countable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// Computed (or being computed) by this process.
-    Computed,
+/// One key's entry in the cache map.
+#[derive(Debug)]
+enum Slot {
+    /// Being computed by one thread; others wait on [`FILLED`].
+    Filling,
+    /// Computed by this process, with the [`USE_CLOCK`] stamp of its
+    /// last use.
+    Computed(SimResult, u64),
     /// Loaded from the persistent store at open time.
-    Disk,
+    Disk(SimResult),
+}
+
+/// The most computed entries the map keeps. A campaign needs far fewer
+/// (a full one computes fewer than 200), so `repro` never evicts; a resident
+/// `nvpd` serving jobs with fresh fault seeds would otherwise grow by
+/// every faulted F12 trial it ever ran. Entries loaded from disk do not
+/// count: the cache directory bounds them.
+const MAX_COMPUTED: usize = 1024;
+
+/// Past [`MAX_COMPUTED`], drops the least recently used computed
+/// entries down to three quarters of the limit, so eviction scans run
+/// once per quarter-limit of new entries. Their records stay on disk;
+/// a later request for one simulates it again.
+fn evict_least_recent(map: &mut BTreeMap<Digest, Slot>) {
+    if map.len() <= MAX_COMPUTED {
+        return;
+    }
+    let mut computed: Vec<(u64, Digest)> = map
+        .iter()
+        .filter_map(|(key, slot)| match slot {
+            Slot::Computed(_, used) => Some((*used, *key)),
+            _ => None,
+        })
+        .collect();
+    if computed.len() <= MAX_COMPUTED {
+        return;
+    }
+    computed.sort_unstable();
+    for (_, key) in &computed[..computed.len() - MAX_COMPUTED * 3 / 4] {
+        map.remove(key);
+    }
 }
 
 /// The persistence backing, resolved at most once per process.
@@ -298,7 +263,11 @@ enum PersistState {
     Active(PersistentStore),
 }
 
-static CACHE: OnceLock<Mutex<BTreeMap<Digest, (RunReport, Origin)>>> = OnceLock::new();
+static CACHE: Mutex<BTreeMap<Digest, Slot>> = Mutex::new(BTreeMap::new());
+/// Signalled whenever a [`Slot::Filling`] entry is resolved or cleared.
+static FILLED: Condvar = Condvar::new();
+/// Orders uses of computed entries, for [`evict_least_recent`].
+static USE_CLOCK: AtomicU64 = AtomicU64::new(0);
 static PERSIST: Mutex<PersistState> = Mutex::new(PersistState::Unresolved);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
@@ -306,19 +275,22 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<BTreeMap<Digest, (RunReport, Origin)>> {
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// The cache map. No code panics while holding it, so a poisoned lock
+/// still guards a consistent map.
+fn cache() -> MutexGuard<'static, BTreeMap<Digest, Slot>> {
+    CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
 /// (never the reverse), shared by resolution, loading, and appending.
-fn persist_lock() -> std::sync::MutexGuard<'static, PersistState> {
-    PERSIST.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn persist_lock() -> MutexGuard<'static, PersistState> {
+    PERSIST.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Opens `dir` and merges its records into the in-memory index (never
-/// overwriting an entry this process already computed). Returns the
-/// number of records now serving from memory that came from disk.
+/// overwriting an entry this process already computed or is computing).
+/// Returns the number of records now serving from memory that came from
+/// disk.
 ///
 /// Entries loaded from a *previously* attached store are dropped first:
 /// re-pointing the cache at a new directory must not keep serving (or
@@ -329,13 +301,13 @@ fn persist_lock() -> std::sync::MutexGuard<'static, PersistState> {
 fn activate(state: &mut PersistState, dir: &Path) -> std::io::Result<u64> {
     let (store, loaded) = PersistentStore::open(dir)?;
     QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
-    let mut map = cache().lock().expect("sim cache lock");
-    map.retain(|_, (_, origin)| *origin != Origin::Disk);
+    let mut map = cache();
+    map.retain(|_, slot| !matches!(slot, Slot::Disk(_)));
     let mut merged = 0u64;
-    for (key, report) in loaded.records {
+    for (key, value) in loaded.records {
         map.entry(key).or_insert_with(|| {
             merged += 1;
-            (report, Origin::Disk)
+            Slot::Disk(value)
         });
     }
     drop(map);
@@ -381,38 +353,69 @@ fn ensure_persist_resolved() {
     }
 }
 
-/// Best-effort append of a freshly computed report to the active store.
-fn persist_append(key: &Digest, report: &RunReport) {
+/// Best-effort append of a freshly computed value to the active store.
+fn persist_append(key: &Digest, value: &SimResult) {
     let state = persist_lock();
     if let PersistState::Active(store) = &*state {
-        if store.append(key, report).is_ok() {
+        if store.append(key, value).is_ok() {
             PERSISTED.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Returns the cached report for `key`, or computes it with `run` and
-/// caches it. The map lock is released while `run` executes, so
-/// concurrent distinct simulations proceed in parallel; two threads
-/// racing on the same key both compute the (bit-identical) report, one
-/// insert wins, and only that winner is persisted.
-pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> RunReport) -> RunReport {
-    ensure_persist_resolved();
-    if let Some(&(report, origin)) = cache().lock().expect("sim cache lock").get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        if origin == Origin::Disk {
-            DISK_HITS.fetch_add(1, Ordering::Relaxed);
+/// The in-flight slot of one fill. Dropped once the value is installed,
+/// or during unwind if the fill panicked: a slot still marked
+/// [`Slot::Filling`] is cleared, and the waiters are woken either way
+/// (after a panic, one of them fills the key itself).
+struct Fill(Digest);
+
+impl Drop for Fill {
+    fn drop(&mut self) {
+        let mut map = cache();
+        if matches!(map.get(&self.0), Some(Slot::Filling)) {
+            map.remove(&self.0);
         }
-        return report;
+        drop(map);
+        FILLED.notify_all();
     }
-    let report = run();
+}
+
+/// Returns the cached value for `key`, or computes it with `run` and
+/// caches it. Single-flight: while one thread runs `run` (without the
+/// map lock, so distinct simulations proceed in parallel), every other
+/// thread asking for `key` waits for its value instead of recomputing.
+/// `run` must not call back into the cache.
+pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> SimResult) -> SimResult {
+    ensure_persist_resolved();
+    let mut map = cache();
+    loop {
+        match map.get_mut(&key) {
+            Some(Slot::Computed(value, used)) => {
+                *used = USE_CLOCK.fetch_add(1, Ordering::Relaxed);
+                HITS.fetch_add(1, Ordering::Relaxed);
+                return value.clone();
+            }
+            Some(Slot::Disk(value)) => {
+                HITS.fetch_add(1, Ordering::Relaxed);
+                DISK_HITS.fetch_add(1, Ordering::Relaxed);
+                return value.clone();
+            }
+            Some(Slot::Filling) => map = FILLED.wait(map).unwrap_or_else(PoisonError::into_inner),
+            None => break,
+        }
+    }
+    map.insert(key, Slot::Filling);
+    drop(map);
+    let fill = Fill(key);
+    let value = run();
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let first =
-        cache().lock().expect("sim cache lock").insert(key, (report, Origin::Computed)).is_none();
-    if first {
-        persist_append(&key, &report);
-    }
-    report
+    let mut map = cache();
+    map.insert(key, Slot::Computed(value.clone(), USE_CLOCK.fetch_add(1, Ordering::Relaxed)));
+    evict_least_recent(&mut map);
+    drop(map);
+    drop(fill);
+    persist_append(&key, &value);
+    value
 }
 
 /// Process-wide simulation-cache counters.
@@ -430,9 +433,11 @@ pub fn sim_cache_stats() -> SimCacheStats {
 /// Clears the in-memory simulation cache and its counters (benchmarks
 /// use this to measure cold- vs warm-cache runs). The persistence
 /// configuration — and any on-disk records — are untouched; re-point
-/// [`set_cache_dir`] at the directory to reload them.
+/// [`set_cache_dir`] at the directory to reload them. Meant for
+/// quiescent moments: a fill in flight during a reset still completes,
+/// but a concurrent request for its key may compute it a second time.
 pub fn reset_sim_cache() {
-    cache().lock().expect("sim cache lock").clear();
+    cache().clear();
     HITS.store(0, Ordering::Relaxed);
     DISK_HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
@@ -443,45 +448,6 @@ pub fn reset_sim_cache() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(d: Digest) -> String {
-        d.iter().fold(String::new(), |mut s, b| {
-            write!(s, "{b:02x}").expect("write to String");
-            s
-        })
-    }
-
-    fn one_shot(data: &[u8]) -> Digest {
-        let mut h = Sha256::new();
-        h.update(data);
-        h.finalize()
-    }
-
-    #[test]
-    fn sha256_matches_fips_vectors() {
-        assert_eq!(
-            hex(one_shot(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(one_shot(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(one_shot(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn incremental_updates_match_one_shot() {
-        let data: Vec<u8> = (0u16..300).map(|i| (i % 251) as u8).collect();
-        let mut h = Sha256::new();
-        for chunk in data.chunks(7) {
-            h.update(chunk);
-        }
-        assert_eq!(h.finalize(), one_shot(&data));
-    }
 
     #[test]
     fn key_fields_are_length_prefixed() {
@@ -496,6 +462,16 @@ mod tests {
     }
 
     #[test]
+    fn keys_are_versioned_by_the_model_fingerprint() {
+        assert_eq!(MODEL_FINGERPRINT.len(), 64, "hex SHA-256 from build.rs");
+        let mut plain = Sha256::new();
+        plain.update(&(1u64).to_le_bytes());
+        plain.update(b"t");
+        assert_ne!(versioned("t").finalize(), plain.finalize(), "fingerprint mixed in");
+        assert_ne!(versioned("a").finalize(), versioned("b").finalize());
+    }
+
+    #[test]
     fn trace_digest_distinguishes_traces() {
         let a = PowerTrace::from_samples(1e-4, vec![1.0e-6, 2.0e-6]);
         let b = PowerTrace::from_samples(1e-4, vec![1.0e-6, 2.0000001e-6]);
@@ -503,5 +479,77 @@ mod tests {
         assert_ne!(trace_digest(&a), trace_digest(&b));
         assert_ne!(trace_digest(&a), trace_digest(&c));
         assert_eq!(trace_digest(&a), trace_digest(&a));
+    }
+
+    #[test]
+    fn eviction_keeps_the_most_recently_used_computed_entries() {
+        let key = |i: usize| KeyHasher::new(&format!("nvp-simcache/test:evict:{i}")).finish();
+        let result = SimResult::from(RunReport::default());
+        let mut map = BTreeMap::new();
+        for i in 0..MAX_COMPUTED {
+            map.insert(key(i), Slot::Computed(result.clone(), i as u64));
+        }
+        map.insert(key(MAX_COMPUTED), Slot::Disk(result.clone()));
+        map.insert(key(MAX_COMPUTED + 1), Slot::Filling);
+        evict_least_recent(&mut map);
+        assert_eq!(map.len(), MAX_COMPUTED + 2, "only computed entries count");
+        // Entry 0, the oldest, was just used again.
+        map.insert(key(0), Slot::Computed(result.clone(), 2 * MAX_COMPUTED as u64));
+        map.insert(key(MAX_COMPUTED + 2), Slot::Computed(result, 2 * MAX_COMPUTED as u64 + 1));
+        evict_least_recent(&mut map);
+        let kept = MAX_COMPUTED * 3 / 4;
+        assert_eq!(map.len(), kept + 2);
+        assert!(map.contains_key(&key(0)), "recently used entry kept");
+        assert!(!map.contains_key(&key(1)), "least recently used entry dropped");
+        assert!(map.contains_key(&key(MAX_COMPUTED - 1)));
+        assert!(matches!(map.get(&key(MAX_COMPUTED)), Some(Slot::Disk(_))));
+        assert!(matches!(map.get(&key(MAX_COMPUTED + 1)), Some(Slot::Filling)));
+    }
+
+    /// Single-flight: many threads asking for one fresh key run the
+    /// computation once; the rest wait and are counted as hits. The
+    /// fill does not finish before every thread has started its request,
+    /// so the others find the slot in flight. A fill that panics leaves
+    /// the key fillable.
+    #[test]
+    fn concurrent_requests_for_one_key_simulate_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+
+        const THREADS: usize = 6;
+        let key = KeyHasher::new("nvp-simcache/test:single-flight").finish();
+        let start = Barrier::new(THREADS);
+        let requested = AtomicUsize::new(0);
+        let runs = AtomicUsize::new(0);
+        let value = SimResult { report: RunReport::default(), latencies_ms: vec![1.5, 2.5] };
+        let got: Vec<SimResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        requested.fetch_add(1, Ordering::SeqCst);
+                        cached_run(key, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            while requested.load(Ordering::SeqCst) < THREADS {
+                                std::thread::yield_now();
+                            }
+                            value.clone()
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "one fill for one key");
+        assert!(got.iter().all(|v| *v == value));
+
+        let poisoned = KeyHasher::new("nvp-simcache/test:panicking-fill").finish();
+        let panicked = std::thread::spawn(move || {
+            cached_run(poisoned, || panic!("simulated fill failure"));
+        })
+        .join();
+        assert!(panicked.is_err());
+        let retried = cached_run(poisoned, || value.clone());
+        assert_eq!(retried, value, "the cleared slot is filled by the next request");
     }
 }

@@ -24,7 +24,8 @@ use std::io::{self, Read, Write};
 
 use crate::job::{CachePolicy, CampaignRequest, CampaignResult};
 use crate::sched::SchedStats;
-use crate::simcache::{Sha256, SimCacheStats};
+use crate::sha256::Sha256;
+use crate::simcache::{versioned, SimCacheStats};
 use crate::{recordlog, ExpConfig, Table};
 
 /// Protocol schema tag carried inside every [`Message::Submit`]; bump
@@ -468,14 +469,15 @@ pub fn decode_result_bytes(bytes: &[u8]) -> io::Result<CampaignResult> {
 
 /// The content-addressed idempotency key of a request: a SHA-256 over
 /// its canonical wire encoding (which embeds [`PROTOCOL`], so keys
-/// never alias across protocol revisions). Two byte-identical
-/// submissions — e.g. a client retry after an observed failure — map to
-/// the same key, which is what lets the server deduplicate them through
-/// its result store.
+/// never alias across protocol revisions), versioned by the model
+/// fingerprint like every simulation-cache key, so a server rebuilt
+/// with a different model never serves a result the old model
+/// computed. Two byte-identical submissions — e.g. a client retry after
+/// an observed failure — map to the same key, which is what lets the
+/// server deduplicate them through its result store.
 #[must_use]
 pub fn request_key(req: &CampaignRequest) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(b"nvpd-idem/1");
+    let mut h = versioned("nvpd-idem/1");
     h.update(&encode_request_bytes(req));
     h.finalize()
 }

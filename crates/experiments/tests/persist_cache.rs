@@ -6,7 +6,9 @@
 
 use std::path::PathBuf;
 
-use nvp_experiments::{reset_sim_cache, run_all, set_cache_dir, sim_cache_stats, ExpConfig};
+use nvp_experiments::{
+    f12_fault_resilience, reset_sim_cache, run_all, set_cache_dir, sim_cache_stats, ExpConfig,
+};
 
 /// Serializes the tests in this binary: the cache directory, index,
 /// and counters are process-global.
@@ -55,10 +57,10 @@ fn persistent_cache_round_trips_a_full_campaign() {
     let cold = sim_cache_stats();
     assert!(cold.misses > 0, "cold run must compute simulations");
     assert_eq!(cold.disk_hits, 0, "nothing on disk to hit yet");
-    // Two workers racing on one key both count a miss but only the
-    // winning insert persists, so persisted can trail misses slightly.
+    // Fills are single-flight, so every miss is a distinct key and is
+    // persisted exactly once.
     assert!(cold.persisted > 0, "cold run persisted nothing");
-    assert!(cold.persisted <= cold.misses, "persisted more than was computed: {cold:?}");
+    assert_eq!(cold.persisted, cold.misses, "every computed value is persisted once: {cold:?}");
     assert!(std::fs::read_dir(&cache_dir).unwrap().count() > 0, "cold run wrote no shard files");
 
     // Simulate a fresh process: drop the in-memory index, re-open the
@@ -94,6 +96,51 @@ fn persistent_cache_round_trips_a_full_campaign() {
     for d in [&cache_dir, &cold_out, &warm_out, &off_out] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// F12's Monte-Carlo trials are cached like every other run: a table
+/// served from a reloaded disk cache simulates nothing and is
+/// byte-identical to the cold campaign that filled the cache.
+#[test]
+fn f12_table_from_a_reloaded_cache_matches_a_cold_campaign() {
+    let _guard = global_cache_lock();
+    let cfg = ExpConfig::quick();
+    let cache_dir = unique_dir("nvp_persist_f12_dir");
+
+    reset_sim_cache();
+    set_cache_dir(Some(&cache_dir)).unwrap();
+    let cold = f12_fault_resilience::table(&cfg).to_csv();
+    let filled = sim_cache_stats();
+    // Three styles, each with one fault-free control trial and
+    // `fault_trials` trials per faulted rate: every trial is its own key.
+    let faulted_rates = f12_fault_resilience::FAULT_RATES.iter().filter(|&&r| r > 0.0).count();
+    let trials = 3 * (1 + faulted_rates * cfg.fault_trials) as u64;
+    assert_eq!(filled.misses, trials, "{filled:?}");
+    assert_eq!(filled.persisted, trials, "{filled:?}");
+
+    reset_sim_cache();
+    assert_eq!(set_cache_dir(Some(&cache_dir)).unwrap(), trials, "every trial reloads");
+    let warm = f12_fault_resilience::table(&cfg).to_csv();
+    let served = sim_cache_stats();
+    assert_eq!(served.misses, 0, "a warm campaign simulates no trial: {served:?}");
+    assert_eq!(served.disk_hits, trials, "{served:?}");
+    assert_eq!(served.persisted, 0);
+    assert_eq!(cold, warm, "disk-served F12 table differs from the cold one");
+
+    // The fault-free controls do not depend on the fault seed: a
+    // campaign under another seed reuses them and simulates only its
+    // faulted trials.
+    let mut reseeded = cfg.clone();
+    reseeded.fault_seed = cfg.fault_seed + 1;
+    let before = sim_cache_stats();
+    let _ = f12_fault_resilience::table(&reseeded);
+    let other = sim_cache_stats().since(before);
+    assert_eq!(other.misses, trials - 3, "{other:?}");
+    assert_eq!(other.hits, 3, "{other:?}");
+
+    reset_sim_cache();
+    set_cache_dir(None).unwrap();
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 /// A second process appending to the same cache directory only adds

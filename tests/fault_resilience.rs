@@ -3,7 +3,9 @@
 //! disabled fault plan is a strict no-op on the platform — the same
 //! guarantees the golden-digest suite pins for the artifact files.
 
-use nvp::experiments::{f12_fault_resilience, set_thread_override, ExpConfig};
+use nvp::experiments::{
+    f12_fault_resilience, reset_sim_cache, set_thread_override, sim_cache_stats, ExpConfig,
+};
 use nvp::prelude::*;
 
 /// One faulted platform run: a full plan (tears, restore failures,
@@ -38,16 +40,25 @@ fn faulted_trials_are_bit_identical_across_same_seed_reruns() {
 #[test]
 fn f12_table_is_bit_identical_across_thread_counts() {
     let cfg = ExpConfig::quick();
-    set_thread_override(Some(1));
-    let sequential = f12_fault_resilience::table(&cfg);
-    set_thread_override(Some(3));
-    let threaded = f12_fault_resilience::table(&cfg);
-    set_thread_override(None);
-    let default_pool = f12_fault_resilience::table(&cfg);
-    assert_eq!(sequential.to_csv(), threaded.to_csv(), "1 vs 3 workers");
-    assert_eq!(sequential.to_csv(), default_pool.to_csv(), "1 worker vs hardware default");
+    // F12 trials are cached, so each width starts from an empty cache:
+    // every table below is simulated, not served from the one before.
+    let simulated = |threads: Option<usize>| {
+        set_thread_override(threads);
+        reset_sim_cache();
+        let table = f12_fault_resilience::table(&cfg);
+        let stats = sim_cache_stats();
+        assert!(stats.misses > 0 && stats.hits == 0, "{threads:?} workers: {stats:?}");
+        (table.to_csv(), stats)
+    };
+    let (sequential, seq_stats) = simulated(Some(1));
+    let (threaded, threaded_stats) = simulated(Some(3));
+    let (default_pool, default_stats) = simulated(None);
+    assert_eq!(sequential, threaded, "1 vs 3 workers");
+    assert_eq!(sequential, default_pool, "1 worker vs hardware default");
+    assert_eq!(seq_stats, threaded_stats, "cache counts at 1 vs 3 workers");
+    assert_eq!(seq_stats, default_stats, "cache counts at 1 worker vs hardware default");
     // And a same-seed rerun reproduces the table byte-for-byte.
-    assert_eq!(sequential.to_csv(), f12_fault_resilience::table(&cfg).to_csv());
+    assert_eq!(sequential, f12_fault_resilience::table(&cfg).to_csv());
 }
 
 #[test]
